@@ -80,9 +80,9 @@ class Event:
         self.cancelled = True
         sim = self._sim
         if sim is not None:
-            # Inlined Simulator._note_cancelled (timer-heavy runs
-            # cancel constantly): account the corpse, compact when dead
-            # entries outnumber live ones.
+            # Account the corpse; compact once dead entries outnumber
+            # live ones, so lazy deletion stays linear in the number of
+            # cancellations (every restarted RTO/ARQ timer leaves one).
             sim._cancelled_count += 1
             heap_len = len(sim._heap)
             if (
@@ -90,12 +90,6 @@ class Event:
                 and sim._cancelled_count * 2 > heap_len
             ):
                 sim._compact()
-
-    def __lt__(self, other: "Event") -> bool:
-        # time-then-seq without building two tuples per comparison.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -129,9 +123,8 @@ class Simulator:
 
     def __init__(self) -> None:
         # Heap entries are (time, seq, event) tuples: heap sift
-        # comparisons stay in C (tuple < tuple never reaches a Python
-        # __lt__ because seq is unique) instead of calling
-        # Event.__lt__ O(n log n) times per run.
+        # comparisons stay in C, and seq is unique, so the Event itself
+        # is never compared.
         self._heap: list[tuple[float, int, Event]] = []
         self._now: float = 0.0
         self._seq: int = 0
@@ -145,6 +138,8 @@ class Simulator:
         #: run loop, so they cannot perturb results).
         self.heap_pushes: int = 0
         self.run_wall_seconds: float = 0.0
+        #: See :mod:`repro.engine.observer`; read once per :meth:`run`.
+        self.observer = None
 
     @property
     def now(self) -> float:
@@ -190,22 +185,6 @@ class Simulator:
         self.heap_pushes += 1
         return event
 
-    def _note_cancelled(self) -> None:
-        """Account one in-heap cancellation; compact when dead > live.
-
-        Lazy deletion leaks in retransmission-heavy runs (every
-        restarted RTO/ARQ timer leaves a corpse in the heap); rebuilding
-        once cancelled entries outnumber live ones keeps total
-        compaction work linear in the number of cancellations while
-        :meth:`peek`/:meth:`step` never churn through long dead runs.
-        """
-        self._cancelled_count += 1
-        if (
-            len(self._heap) >= self.COMPACT_MIN_HEAP
-            and self._cancelled_count * 2 > len(self._heap)
-        ):
-            self._compact()
-
     def _compact(self) -> None:
         """Drop every cancelled entry and re-heapify the survivors.
 
@@ -237,19 +216,10 @@ class Simulator:
         return heap[0][0] if heap else None
 
     def step(self) -> bool:
-        """Execute the single next event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            event._sim = None
-            if event.cancelled:
-                self._cancelled_count -= 1
-                continue
-            self._now = event.time
-            self.events_executed += 1
-            event.callback(*event.args)
-            return True
-        return False
+        """Execute the single next event (via :meth:`run`); False if none remain."""
+        executed = self.events_executed
+        self.run(max_events=1)
+        return self.events_executed > executed
 
     def run(
         self,
@@ -286,6 +256,7 @@ class Simulator:
         # schedule()/schedule_at() push into the same list object.
         heap = self._heap
         pop = heapq.heappop
+        observer = self.observer
         # Sentinels fold the per-iteration None checks into plain
         # comparisons (simulation times are finite, so `> inf` and
         # `>= maxsize` are never taken when no limit was given).
@@ -319,11 +290,13 @@ class Simulator:
                 if head[0] > time_limit:
                     self._now = until
                     break
-                # Inlined step(): the head is known live, pop-and-dispatch.
+                # The head is known live: pop and dispatch.
                 pop(heap)
                 event = head[2]
                 event._sim = None
                 self._now = head[0]
+                if observer is not None:
+                    observer.dispatch(self, event)
                 event.callback(*event.args)
                 executed += 1
         finally:

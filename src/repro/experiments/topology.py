@@ -370,6 +370,12 @@ class Scenario:
             return
         self.bs.receive(datagram)
 
+    def observe(self, observer) -> None:
+        """Set every component's observation hook; call before :meth:`run`."""
+        for component in (self.sim, self.wired_down, self.wired_up, self.downlink,
+                          self.uplink, self.bs_port, self.mh_port, self.sender, self.sink):
+            component.observer = observer
+
     # -- running ----------------------------------------------------------
 
     def run(self, wall_timeout: Optional[float] = None) -> ScenarioResult:

@@ -148,12 +148,13 @@ class WirelessPort:
         self._flush_timer = Timer(sim, self._flush_gap, name=f"{name}.flush")
         self._flush_timeout = self.arq_config.derived_flush()
 
-        # Hot-path prebinds.  Simulator.schedule is never instance-
-        # patched; shadowing _on_tx_complete in the instance dict hands
-        # out_link.send the same bound method every time instead of
-        # binding a fresh one per frame.  (_transmit stays an attribute
-        # lookup — the validation checkers instance-patch it.)
+        self.observer = None
+        # Hot-path prebinds; shadowing _on_tx_complete in the instance
+        # dict hands the link the same bound method every time instead
+        # of binding a fresh one per frame.
         self._schedule = sim.schedule
+        self._link_send = out_link.send
+        self._transmit = self._transmit
         self._on_tx_complete = self._on_tx_complete
 
     # ------------------------------------------------------------------
@@ -164,7 +165,7 @@ class WirelessPort:
         """Fragment and transmit a datagram over the wireless hop."""
         fragments = self.fragmenter.fragment(datagram)
         if self.mode is LinkLayerMode.PLAIN:
-            send = self.out_link.send
+            send = self._link_send
             for fragment in fragments:
                 send(data_frame(fragment))
             self.feedback.on_queue_depth(len(self.out_link.queue))
@@ -227,7 +228,9 @@ class WirelessPort:
     def _transmit(self, entry: _OutstandingFrame) -> None:
         entry.attempts += 1
         entry.frame.attempt = entry.attempts
-        self.out_link.send(entry.frame, on_tx_complete=self._on_tx_complete)
+        if self.observer is not None:
+            self.observer.arq_transmit(self, entry.frame)
+        self._link_send(entry.frame, self._on_tx_complete)
 
     def _on_tx_complete(self, frame: LinkFrame) -> None:
         entry = self._outstanding.get(frame.uid)
@@ -353,7 +356,7 @@ class WirelessPort:
             self._pump()
             return
         if self.mode is _ARQ:
-            self.out_link.send(link_ack_frame(frame.uid))
+            self._link_send(link_ack_frame(frame.uid))
         if kind is _SKIP:
             assert frame.link_seq is not None
             self._resequence(frame.link_seq, None)

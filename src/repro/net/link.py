@@ -75,6 +75,7 @@ class WiredLink:
         self.stats = LinkStats()
         self._receiver: Optional[Callable[[Datagram], None]] = None
         self._busy = False
+        self.observer = None
 
     def connect(self, receiver: Callable[[Datagram], None]) -> None:
         """Set the far-end delivery callback."""
@@ -97,11 +98,12 @@ class WiredLink:
         if self.ecn_threshold is not None and len(self.queue) >= self.ecn_threshold:
             datagram.ecn_marked = True
             self.ecn_marks += 1
-        if not self.queue.offer(datagram, datagram.size_bytes):
-            return False
-        if not self._busy:
+        accepted = self.queue.offer(datagram, datagram.size_bytes)
+        if accepted and not self._busy:
             self._start_next()
-        return True
+        if self.observer is not None:
+            self.observer.wired_send(self, datagram, accepted)
+        return accepted
 
     def _start_next(self) -> None:
         datagram = self.queue.poll()
@@ -118,5 +120,10 @@ class WiredLink:
         self.stats.busy_time += duration
         self.stats.delivered += 1
         assert self._receiver is not None
-        self._sim.schedule(self.prop_delay, self._receiver, datagram)
+        receiver = self._receiver if self.observer is None else self._observed_delivery
+        self._sim.schedule(self.prop_delay, receiver, datagram)
         self._start_next()
+
+    def _observed_delivery(self, datagram: Datagram) -> None:
+        self.observer.wired_deliver(self, datagram)
+        self._receiver(datagram)

@@ -90,13 +90,12 @@ class WirelessLink:
         # Values are computed by the same expressions as the uncached
         # methods, so the cache is arithmetically invisible.
         self._airtime_cache: dict[int, tuple[int, float]] = {}
-        # Hot-path prebinds.  Simulator.schedule is never instance-
-        # patched, so one bound method serves every transmission;
-        # shadowing _tx_done in the instance dict skips a descriptor
-        # bind per schedule.  (channel.corrupts and this link's own
-        # send ARE instance-patched by the event log, so those stay
-        # ordinary attribute lookups.)
+        self.observer = None
+        # Hot-path prebinds: one bound method serves every transmission,
+        # and shadowing _tx_done in the instance dict skips a descriptor
+        # bind per schedule.
         self._schedule = sim.schedule
+        self._corrupts = channel.corrupts
         self._tx_done = self._tx_done
 
     def connect(self, receiver: Callable[[LinkFrame], None]) -> None:
@@ -132,6 +131,8 @@ class WirelessLink:
         """Queue a frame for transmission."""
         if self._receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
+        if self.observer is not None:
+            self.observer.air_send(self, frame)
         self.stats.offered += 1
         target = self.ack_queue if frame.kind is FrameKind.LINK_ACK else self.queue
         # Inlined target.offer((frame, on_tx_complete), frame.size_bytes):
@@ -193,13 +194,21 @@ class WirelessLink:
         stats.transmitted += 1
         stats.bytes_transmitted += frame.size_bytes
         stats.busy_time += duration
-        corrupted = self.channel.corrupts(start, duration, nbits)
+        corrupted = self._corrupts(start, duration, nbits)
+        observer = self.observer
+        if observer is not None:
+            observer.channel_verdict(self, nbits, corrupted)
         if corrupted:
             stats.corrupted += 1
         else:
             stats.delivered += 1
             assert self._receiver is not None
-            self._schedule(self.config.prop_delay, self._receiver, frame)
+            receiver = self._receiver if observer is None else self._observed_delivery
+            self._schedule(self.config.prop_delay, receiver, frame)
         if on_tx_complete is not None:
             on_tx_complete(frame)
         self._start_next()
+
+    def _observed_delivery(self, frame: LinkFrame) -> None:
+        self.observer.air_deliver(self, frame)
+        self._receiver(frame)

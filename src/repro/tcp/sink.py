@@ -87,6 +87,8 @@ class TcpSink:
         self._ack_held = False
         self._delack_timer = Timer(sim, self._delack_expired, name="delack")
         self.stats = SinkStats()
+        self.observer = None
+        self._deliver = self._deliver  # prebound: one bind per sink
 
     def receive(self, datagram: Datagram) -> None:
         """Agent entry point for datagrams addressed to this node."""
@@ -151,6 +153,8 @@ class TcpSink:
         self._send_ack()
 
     def _deliver(self, payload_bytes: int) -> None:
+        if self.observer is not None:
+            self.observer.sink_deliver(self, payload_bytes)
         self.stats.useful_payload_bytes += payload_bytes
         self.stats.useful_wire_bytes += payload_bytes + self.header_bytes
         if (

@@ -194,6 +194,7 @@ class TahoeSender:
 
         #: Pluggable ICMP response — set by the EBSN/quench policies.
         self.icmp_handler: Optional[Callable[["TahoeSender", IcmpMessage], None]] = None
+        self.observer = None
 
         self.completed = False
 
@@ -244,14 +245,13 @@ class TahoeSender:
         if isinstance(payload, TcpAck):
             self._handle_ack(payload)
         elif isinstance(payload, IcmpMessage):
-            self._handle_icmp(payload)
+            # Without an installed policy, ICMP is ignored (basic TCP).
+            if self.icmp_handler is not None:
+                self.icmp_handler(self, payload)
         elif isinstance(payload, TcpSegment):
             raise TypeError("bulk sender received a data segment")
-
-    def _handle_icmp(self, message: IcmpMessage) -> None:
-        if self.icmp_handler is not None:
-            self.icmp_handler(self, message)
-        # Without an installed policy, ICMP is ignored (basic TCP).
+        if self.observer is not None:
+            self.observer.tcp_receive(self, datagram)
 
     def _handle_ack(self, ack: TcpAck) -> None:
         if self.completed:
@@ -354,6 +354,8 @@ class TahoeSender:
         self._loss_response()
         self.rtx_timer.restart(self.current_timeout())
         self._send_pending()
+        if self.observer is not None:
+            self.observer.tcp_timeout(self)
 
     def _loss_response(self) -> None:
         """Tahoe's reaction to any loss signal: collapse to slow start."""

@@ -11,6 +11,7 @@ import pytest
 
 from repro.channel import deterministic_channel
 from repro.engine import RandomStreams, Simulator
+from repro.engine.observer import Observer
 from repro.linklayer import ArqConfig, LinkLayerMode, WirelessPort
 from repro.linklayer.port import FeedbackHooks
 from repro.net.packet import Datagram, TcpSegment
@@ -244,13 +245,12 @@ class TestInOrderDelivery:
         )
         hop = Hop(sim, good=0.2, bad=1000.0, arq=arq)
         kinds = []
-        original = hop.down.send
 
-        def spy(frame, on_tx_complete=None):
-            kinds.append(frame.kind)
-            original(frame, on_tx_complete)
+        class Spy(Observer):
+            def air_send(self, link, frame):
+                kinds.append(frame.kind)
 
-        hop.down.send = spy
+        hop.down.observer = Spy()
         sim.schedule(0.5, hop.bs.send_datagram, make_datagram(128))
         sim.run(until=100.0)
         assert hop.bs.stats.frames_discarded >= 1

@@ -10,8 +10,13 @@ has never failed is untested).
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+
+from repro.engine import Event, Simulator
+from repro.linklayer import ArqConfig
+from repro.metrics.eventlog import EventLog
 
 from repro.experiments.config import (
     lan_scenario,
@@ -27,8 +32,14 @@ from repro.validate.engine import (
     set_default_validation,
     validation_default,
 )
-from repro.validate.checkers import default_checkers
+from repro.validate.checkers import (
+    ArqBoundChecker,
+    DeliveryChecker,
+    TimerSanityChecker,
+    default_checkers,
+)
 from repro.validate.testing import BackwardsAckSender, CwndMutatingEbsnSender
+from tests.test_golden_eventlogs import GOLDEN_SCENARIOS
 
 TRANSFER = 12 * 1024
 
@@ -85,19 +96,43 @@ class TestObserverPurity:
         config = wan_scenario(
             scheme=scheme, transfer_bytes=TRANSFER, record_trace=False
         )
-        plain = run_scenario(config, validate=False)
-        checked = validated(config)
+        plain = Scenario(config)
+        plain_result = plain.run()
+        checked = Scenario(config)
+        checked_result = run_validated(checked, bundle_dir=False)
 
-        def fingerprint(result):
+        def fingerprint(scenario, result):
+            # The engine counters catch an observer that schedules or
+            # swallows an event even when the metrics happen to agree.
             return (
                 result.metrics.duration,
                 result.metrics.segments_sent,
                 result.metrics.retransmissions,
                 result.metrics.timeouts,
                 result.metrics.throughput_bps,
+                scenario.sim.events_executed,
+                scenario.sim.heap_pushes,
             )
 
-        assert fingerprint(plain) == fingerprint(checked)
+        assert fingerprint(plain, plain_result) == fingerprint(
+            checked, checked_result
+        )
+
+
+class TestObservationCounts:
+    """Every checker provably observes the run it claims to check."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_every_checker_and_the_log_observe_events(self, name):
+        scenario = Scenario(GOLDEN_SCENARIOS[name]())
+        validator = Validator(default_checkers(scenario))
+        log = EventLog(scenario.sim)
+        validator.attach(scenario, log)
+        validator.finalize(scenario.run())
+        seen = {checker.name: checker.observations for checker in validator.checkers}
+        assert len(seen) == 6 and all(count > 0 for count in seen.values()), seen
+        assert len(log) > 0
+        assert seen["timer-sanity"] == scenario.sim.events_executed
 
 
 class TestFaultInjection:
@@ -123,6 +158,48 @@ class TestFaultInjection:
         with pytest.raises(InvariantViolationError) as excinfo:
             validated(config)
         assert excinfo.value.violations[0].checker == "tcp-state"
+
+    @staticmethod
+    def attached(checker, scenario=None):
+        """``checker`` bound to a list that collects its reports."""
+        reports = []
+        checker.attach(scenario, reports.append)
+        return reports
+
+    def test_timer_sanity_catches_a_cancelled_event(self):
+        checker = TimerSanityChecker()
+        reports = self.attached(checker)
+        event = Event(0.0, 0, lambda: None, ())
+        event.cancel()
+        checker.dispatch(Simulator(), event)
+        assert reports == ["cancelled event fired (t=0.000000)"]
+
+    def test_timer_sanity_catches_an_out_of_order_event(self):
+        checker = TimerSanityChecker()
+        reports = self.attached(checker)
+        checker.dispatch(SimpleNamespace(now=2.0), Event(2.0, 0, print, ()))
+        assert reports == []
+        checker.dispatch(SimpleNamespace(now=1.0), Event(1.0, 1, print, ()))
+        assert len(reports) == 1 and "out of order" in reports[0]
+
+    def test_arq_bound_catches_attempt_rtmax_plus_one(self):
+        checker = ArqBoundChecker()
+        reports = self.attached(checker)
+        port = SimpleNamespace(name="BS.wl", arq_config=ArqConfig(rtmax=13))
+        checker.arq_transmit(port, SimpleNamespace(uid=7, attempt=13))
+        assert reports == []
+        checker.arq_transmit(port, SimpleNamespace(uid=7, attempt=14))
+        assert reports == ["BS.wl: frame uid=7 reached 14 transmissions (RTmax=13)"]
+
+    def test_delivery_catches_a_delivery_after_fin(self):
+        scenario = Scenario(wan_scenario(transfer_bytes=TRANSFER, record_trace=False))
+        checker = DeliveryChecker()
+        reports = self.attached(checker, scenario)
+        checker.sink_deliver(scenario.sink, 100)
+        assert reports == []
+        scenario.sender.completed = True
+        checker.sink_deliver(scenario.sink, 100)
+        assert len(reports) == 1 and "after FIN" in reports[0]
 
     def test_bundle_dir_false_writes_nothing(self):
         config = replace(
