@@ -13,6 +13,7 @@ from repro.engine.simulator import (
     SimulationError,
     WallClockExceeded,
 )
+from repro.engine.observer import Observer
 from repro.engine.timer import Timer
 from repro.engine.rng import RandomStreams
 
@@ -21,6 +22,7 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "WallClockExceeded",
+    "Observer",
     "Timer",
     "RandomStreams",
 ]
