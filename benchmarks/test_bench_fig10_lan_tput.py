@@ -17,6 +17,7 @@ from conftest import DEFAULT_REPS, SCALE, STRICT, WORKERS, run_once
 from repro.experiments.ascii_plot import plot_series
 from repro.experiments.config import LAN_BAD_PERIODS
 from repro.experiments.figures import figure_10, lan_theoretical_mbps
+from repro.experiments.parallel import ParallelRunner
 
 
 def _format(data):
@@ -51,7 +52,8 @@ def test_fig10_lan_throughput(benchmark, report):
     data = run_once(
         benchmark,
         lambda: figure_10(
-            replications=DEFAULT_REPS, transfer_bytes=transfer, workers=WORKERS
+            replications=DEFAULT_REPS, transfer_bytes=transfer,
+            runner=ParallelRunner(workers=WORKERS),
         ),
     )
     report("fig10_lan_tput", _format(data))

@@ -14,6 +14,7 @@ from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
 
 from repro.experiments.config import LAN_BAD_PERIODS
 from repro.experiments.figures import figure_11
+from repro.experiments.parallel import ParallelRunner
 
 
 def _format(data):
@@ -39,7 +40,8 @@ def test_fig11_lan_retransmitted_data(benchmark, report):
     data = run_once(
         benchmark,
         lambda: figure_11(
-            replications=DEFAULT_REPS, transfer_bytes=transfer, workers=WORKERS
+            replications=DEFAULT_REPS, transfer_bytes=transfer,
+            runner=ParallelRunner(workers=WORKERS),
         ),
     )
     report("fig11_lan_retx", _format(data))

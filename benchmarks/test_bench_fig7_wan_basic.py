@@ -17,6 +17,7 @@ from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
 from repro.experiments.ascii_plot import plot_series
 from repro.experiments.config import WAN_BAD_PERIODS, WAN_PACKET_SIZES
 from repro.experiments.figures import figure_7, wan_theoretical_kbps
+from repro.experiments.parallel import ParallelRunner
 
 
 def _format(series):
@@ -54,7 +55,8 @@ def test_fig7_throughput_vs_packet_size(benchmark, report):
     transfer = int(100 * 1024 * SCALE)
     series = run_once(
         benchmark, lambda: figure_7(
-            replications=DEFAULT_REPS, transfer_bytes=transfer, workers=WORKERS
+            replications=DEFAULT_REPS, transfer_bytes=transfer,
+            runner=ParallelRunner(workers=WORKERS),
         )
     )
     report("fig7_wan_basic", _format(series))

@@ -15,6 +15,7 @@ from conftest import DEFAULT_REPS, SCALE, WORKERS, run_once
 
 from repro.experiments.config import WAN_BAD_PERIODS, WAN_PACKET_SIZES
 from repro.experiments.figures import figure_9
+from repro.experiments.parallel import ParallelRunner
 
 
 def _format(data):
@@ -38,7 +39,8 @@ def test_fig9_retransmitted_data(benchmark, report):
     transfer = int(100 * 1024 * SCALE)
     data = run_once(
         benchmark, lambda: figure_9(
-            replications=DEFAULT_REPS, transfer_bytes=transfer, workers=WORKERS
+            replications=DEFAULT_REPS, transfer_bytes=transfer,
+            runner=ParallelRunner(workers=WORKERS),
         )
     )
     report("fig9_wan_retx", _format(data))

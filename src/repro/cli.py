@@ -46,6 +46,7 @@ from repro.experiments.config import (
     wan_scenario,
 )
 from repro.experiments.figures import (
+    TRACE_FIGURE_SCHEMES,
     SweepSeries,
     figure_7,
     figure_8,
@@ -53,7 +54,6 @@ from repro.experiments.figures import (
     figure_10,
     figure_11,
     lan_theoretical_mbps,
-    trace_figure,
     wan_theoretical_kbps,
 )
 from repro.experiments.cache import ResultCache, default_cache_dir
@@ -61,9 +61,11 @@ from repro.experiments.faults import (
     CampaignError,
     CampaignInterrupted,
     CompletenessReport,
+    RetryPolicy,
     merge_reports,
 )
 from repro.experiments.journal import CampaignJournal
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import run_replicated
 from repro.experiments.topology import Scheme, run_scenario
 
@@ -124,27 +126,26 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _engine_cache(args: argparse.Namespace) -> Optional[ResultCache]:
-    """The result cache to use, honoring ``--no-cache``."""
-    return None if args.no_cache else ResultCache()
+def _run_campaign_command(args: argparse.Namespace, body) -> int:
+    """Run ``body(args, runner)`` on the runner the engine flags describe.
 
-
-def _engine_journal(args: argparse.Namespace) -> Optional[CampaignJournal]:
-    """The checkpoint journal to use, honoring ``--resume``."""
-    return CampaignJournal(args.resume) if args.resume else None
-
-
-def _engine_kwargs(args: argparse.Namespace, journal) -> dict:
-    """The fault-tolerant engine knobs shared by sweep/figure."""
-    return dict(
+    sweep/figure execute every unit on this one runner; its journal
+    (``--resume``) is closed once the command is done.
+    """
+    runner = ParallelRunner(
         workers=args.workers,
-        cache=_engine_cache(args),
+        cache=None if args.no_cache else ResultCache(),
         validate=args.validate,
         timeout=args.timeout,
-        retries=args.retries,
+        retry=None if args.retries is None else RetryPolicy(max_retries=args.retries),
         fail_fast=args.fail_fast,
-        journal=journal,
+        journal=CampaignJournal(args.resume) if args.resume else None,
     )
+    try:
+        return body(args, runner)
+    finally:
+        if runner.journal is not None:
+            runner.journal.close()
 
 
 def _finish_campaign(report: CompletenessReport) -> int:
@@ -216,17 +217,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    journal = _engine_journal(args)
-    try:
-        return _run_sweep(args, journal)
-    finally:
-        if journal is not None:
-            journal.close()
+    return _run_campaign_command(args, _run_sweep)
 
 
-def _run_sweep(args: argparse.Namespace, journal) -> int:
+def _run_sweep(args: argparse.Namespace, runner: ParallelRunner) -> int:
     scheme = SCHEMES[args.scheme]
-    engine = _engine_kwargs(args, journal)
     reports: List[CompletenessReport] = []
     rows = []
     if args.lan:
@@ -239,7 +234,7 @@ def _run_sweep(args: argparse.Namespace, journal) -> int:
                 ),
                 replications=args.replications,
                 base_seed=args.seed,
-                **engine,
+                runner=runner,
             )
             reports.append(r.report)
             rows.append(
@@ -270,7 +265,7 @@ def _run_sweep(args: argparse.Namespace, journal) -> int:
                 ),
                 replications=args.replications,
                 base_seed=args.seed,
-                **engine,
+                runner=runner,
             )
             reports.append(r.report)
             rows.append(
@@ -315,23 +310,20 @@ def _figure_reports(data) -> List[CompletenessReport]:
 def _cmd_figure(args: argparse.Namespace) -> int:
     n = args.number
     if n in (3, 4, 5):
-        result = trace_figure(n, validate=_single_run_validate(args))
+        result = run_scenario(
+            trace_example_scenario(TRACE_FIGURE_SCHEMES[n]),
+            validate=_single_run_validate(args),
+        )
         print(result.trace.render(width=100, t_max=60.0, title=f"Figure {n}"))
         return 0
-    journal = _engine_journal(args)
-    try:
-        return _run_figure(args, journal)
-    finally:
-        if journal is not None:
-            journal.close()
+    return _run_campaign_command(args, _run_figure)
 
 
-def _run_figure(args: argparse.Namespace, journal) -> int:
+def _run_figure(args: argparse.Namespace, runner: ParallelRunner) -> int:
     n = args.number
     reps = args.replications
-    engine = _engine_kwargs(args, journal)
     if n == 7 or n == 8:
-        series = (figure_7 if n == 7 else figure_8)(replications=reps, **engine)
+        series = (figure_7 if n == 7 else figure_8)(replications=reps, runner=runner)
         header = ["size(B)"] + [f"bad={b:g}s" for b in WAN_BAD_PERIODS]
         rows = [
             [str(size)]
@@ -342,7 +334,7 @@ def _run_figure(args: argparse.Namespace, journal) -> int:
         print(format_table(header, rows, title=f"Figure {n} (throughput, kbps):"))
         return _finish_campaign(merge_reports(_figure_reports(series)))
     if n == 9:
-        data = figure_9(replications=reps, **engine)
+        data = figure_9(replications=reps, runner=runner)
         for label, series in data.items():
             header = ["size(B)"] + [f"bad={b:g}s" for b in WAN_BAD_PERIODS]
             rows = [
@@ -357,9 +349,9 @@ def _run_figure(args: argparse.Namespace, journal) -> int:
         return _finish_campaign(merge_reports(_figure_reports(data)))
     if n in (10, 11):
         data = (
-            figure_10(replications=reps, **engine)
+            figure_10(replications=reps, runner=runner)
             if n == 10
-            else figure_11(replications=reps, **engine)
+            else figure_11(replications=reps, runner=runner)
         )
         if n == 10:
             rows = [

@@ -7,7 +7,10 @@ prints the same rows the paper plots; EXPERIMENTS.md records the
 comparison.
 
 Transfer sizes can be scaled down (``transfer_bytes``) to trade
-fidelity for runtime; defaults are the paper's.
+fidelity for runtime; defaults are the paper's.  The replicated
+figures (7-11) run every seed through one ``runner``
+(:class:`~repro.experiments.parallel.ParallelRunner`; ``None`` means
+a default serial one).
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from repro.experiments.config import (
     trace_example_scenario,
     wan_scenario,
 )
-from repro.experiments.cache import ResultCache
-from repro.experiments.journal import CampaignJournal
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import ReplicatedResult, run_replicated
 from repro.experiments.topology import ScenarioResult, Scheme, run_scenario
 from repro.metrics.theoretical import theoretical_throughput_bps
@@ -52,21 +54,20 @@ class SweepSeries:
 # Figures 3-5: the deterministic trace example
 # ---------------------------------------------------------------------------
 
-_TRACE_SCHEMES = {
+#: The scheme each trace figure shows.
+TRACE_FIGURE_SCHEMES = {
     3: Scheme.BASIC,
     4: Scheme.LOCAL_RECOVERY,
     5: Scheme.EBSN,
 }
 
 
-def trace_figure(
-    figure_number: int, validate: Optional[bool] = None
-) -> ScenarioResult:
+def trace_figure(figure_number: int) -> ScenarioResult:
     """Run the §4.2.1 example for Fig 3 (basic), 4 (local), or 5 (EBSN)."""
-    if figure_number not in _TRACE_SCHEMES:
+    if figure_number not in TRACE_FIGURE_SCHEMES:
         raise ValueError(f"trace figures are 3, 4, 5; got {figure_number}")
-    config = trace_example_scenario(_TRACE_SCHEMES[figure_number])
-    return run_scenario(config, validate=validate)
+    config = trace_example_scenario(TRACE_FIGURE_SCHEMES[figure_number])
+    return run_scenario(config)
 
 
 # ---------------------------------------------------------------------------
@@ -76,22 +77,17 @@ def trace_figure(
 
 def _wan_packet_sweep(
     scheme: Scheme,
-    bad_periods: List[float],
-    packet_sizes: List[int],
+    bad_periods: Optional[List[float]],
+    packet_sizes: Optional[List[int]],
     replications: int,
     transfer_bytes: int,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner],
 ) -> Dict[float, SweepSeries]:
+    """One curve per bad period over the packet sizes (default: the paper's)."""
     series: Dict[float, SweepSeries] = {}
-    for bad in bad_periods:
+    for bad in bad_periods or WAN_BAD_PERIODS:
         curve = SweepSeries(label=f"bad period = {bad:g} sec")
-        for size in packet_sizes:
+        for size in packet_sizes or WAN_PACKET_SIZES:
             config = wan_scenario(
                 scheme=scheme,
                 packet_size=size,
@@ -99,11 +95,7 @@ def _wan_packet_sweep(
                 transfer_bytes=transfer_bytes,
                 record_trace=False,
             )
-            curve.points[size] = run_replicated(
-                config, replications, workers=workers, cache=cache,
-                validate=validate, timeout=timeout, retries=retries,
-                fail_fast=fail_fast, journal=journal,
-            )
+            curve.points[size] = run_replicated(config, replications, runner=runner)
         series[bad] = curve
     return series
 
@@ -113,28 +105,11 @@ def figure_7(
     packet_sizes: Optional[List[int]] = None,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = WAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[float, SweepSeries]:
     """Fig 7: basic TCP throughput vs packet size, one curve per bad period."""
     return _wan_packet_sweep(
-        Scheme.BASIC,
-        bad_periods or WAN_BAD_PERIODS,
-        packet_sizes or WAN_PACKET_SIZES,
-        replications,
-        transfer_bytes,
-        workers=workers,
-        cache=cache,
-        validate=validate,
-        timeout=timeout,
-        retries=retries,
-        fail_fast=fail_fast,
-        journal=journal,
+        Scheme.BASIC, bad_periods, packet_sizes, replications, transfer_bytes, runner
     )
 
 
@@ -143,28 +118,11 @@ def figure_8(
     packet_sizes: Optional[List[int]] = None,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = WAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[float, SweepSeries]:
     """Fig 8: EBSN throughput vs packet size, one curve per bad period."""
     return _wan_packet_sweep(
-        Scheme.EBSN,
-        bad_periods or WAN_BAD_PERIODS,
-        packet_sizes or WAN_PACKET_SIZES,
-        replications,
-        transfer_bytes,
-        workers=workers,
-        cache=cache,
-        validate=validate,
-        timeout=timeout,
-        retries=retries,
-        fail_fast=fail_fast,
-        journal=journal,
+        Scheme.EBSN, bad_periods, packet_sizes, replications, transfer_bytes, runner
     )
 
 
@@ -173,44 +131,14 @@ def figure_9(
     packet_sizes: Optional[List[int]] = None,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = WAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, Dict[float, SweepSeries]]:
     """Fig 9: data retransmitted vs packet size — basic TCP vs EBSN."""
     return {
-        "basic": _wan_packet_sweep(
-            Scheme.BASIC,
-            bad_periods or WAN_BAD_PERIODS,
-            packet_sizes or WAN_PACKET_SIZES,
-            replications,
-            transfer_bytes,
-            workers=workers,
-            cache=cache,
-            validate=validate,
-            timeout=timeout,
-            retries=retries,
-            fail_fast=fail_fast,
-            journal=journal,
-        ),
-        "ebsn": _wan_packet_sweep(
-            Scheme.EBSN,
-            bad_periods or WAN_BAD_PERIODS,
-            packet_sizes or WAN_PACKET_SIZES,
-            replications,
-            transfer_bytes,
-            workers=workers,
-            cache=cache,
-            validate=validate,
-            timeout=timeout,
-            retries=retries,
-            fail_fast=fail_fast,
-            journal=journal,
-        ),
+        scheme.value: _wan_packet_sweep(
+            scheme, bad_periods, packet_sizes, replications, transfer_bytes, runner
+        )
+        for scheme in (Scheme.BASIC, Scheme.EBSN)
     }
 
 
@@ -231,24 +159,14 @@ def _lan_bad_sweep(
     bad_periods: List[float],
     replications: int,
     transfer_bytes: int,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner],
 ) -> SweepSeries:
     curve = SweepSeries(label=scheme.value)
     for bad in bad_periods:
         config = lan_scenario(
             scheme=scheme, bad_period_mean=bad, transfer_bytes=transfer_bytes
         )
-        curve.points[bad] = run_replicated(
-            config, replications, workers=workers, cache=cache,
-            validate=validate, timeout=timeout, retries=retries,
-            fail_fast=fail_fast, journal=journal,
-        )
+        curve.points[bad] = run_replicated(config, replications, runner=runner)
     return curve
 
 
@@ -256,29 +174,15 @@ def figure_10(
     replications: int = 3,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = LAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, SweepSeries]:
     """Fig 10: LAN throughput vs bad period — basic vs EBSN (+ tput_th)."""
     bads = bad_periods or LAN_BAD_PERIODS
     return {
-        "basic": _lan_bad_sweep(
-            Scheme.BASIC, bads, replications, transfer_bytes,
-            workers=workers, cache=cache, validate=validate,
-            timeout=timeout, retries=retries, fail_fast=fail_fast,
-            journal=journal,
-        ),
-        "ebsn": _lan_bad_sweep(
-            Scheme.EBSN, bads, replications, transfer_bytes,
-            workers=workers, cache=cache, validate=validate,
-            timeout=timeout, retries=retries, fail_fast=fail_fast,
-            journal=journal,
-        ),
+        scheme.value: _lan_bad_sweep(
+            scheme, bads, replications, transfer_bytes, runner
+        )
+        for scheme in (Scheme.BASIC, Scheme.EBSN)
     }
 
 
@@ -286,20 +190,10 @@ def figure_11(
     replications: int = 3,
     bad_periods: Optional[List[float]] = None,
     transfer_bytes: int = LAN_TRANSFER_BYTES,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[str, SweepSeries]:
     """Fig 11: LAN data retransmitted vs bad period — basic vs EBSN."""
-    return figure_10(
-        replications, bad_periods, transfer_bytes, workers=workers, cache=cache,
-        validate=validate, timeout=timeout, retries=retries,
-        fail_fast=fail_fast, journal=journal,
-    )
+    return figure_10(replications, bad_periods, transfer_bytes, runner=runner)
 
 
 def lan_theoretical_mbps(bad_period_mean: float, good_period_mean: float = 4.0) -> float:

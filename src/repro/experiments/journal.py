@@ -8,12 +8,17 @@ is flushed and fsynced the moment the unit finishes, so the file is
 exactly as durable as the work it describes: kill the process at any
 instant and everything already journaled replays for free.
 
-``repro sweep --resume camp.journal`` (or passing a
-:class:`CampaignJournal` to the runner/``sweep``/``run_replicated``)
+``repro sweep --resume camp.journal`` (or handing a
+:class:`CampaignJournal` to the ``ParallelRunner`` a campaign runs on)
 consults the journal before simulating: units whose key is present
 are loaded, everything else runs and is appended.  Because keys embed
 the code-version token, a journal written by older code simply stops
 matching after an edit — stale entries are inert, never wrong.
+
+Every unit belongs to the header above it.  Reopening a journal whose
+last header names another code version (or format) appends a fresh
+header first, so units recorded now are never mistaken for stale ones
+on the next resume.
 
 Layout (one JSON object per line)::
 
@@ -50,34 +55,42 @@ class CampaignJournal:
 
     Opening is create-or-resume: an existing file is scanned and its
     completed units become immediately available through :meth:`get`;
-    a missing file is created with a header line.  The journal object
-    is also an append handle — :meth:`record` makes one unit durable.
+    a missing file is created with a header line, and a file whose
+    last header is foreign gets a current one appended.  The journal
+    object is also an append handle — :meth:`record` makes one unit
+    durable.  ``stale_entries`` counts the units recorded under a
+    foreign header (another code version or format), which will re-run.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._entries: Dict[str, Any] = {}
         self._code_token = code_version_token()
+        self._header = {
+            "kind": "header",
+            "format": JOURNAL_FORMAT,
+            "code": self._code_token,
+        }
         self.stale_entries = 0
         self.torn_lines = 0
-        self._load_existing()
+        current = self._load_existing()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("a", encoding="utf-8")
-        if self.path.stat().st_size == 0:
-            self._append(
-                {
-                    "kind": "header",
-                    "format": JOURNAL_FORMAT,
-                    "code": self._code_token,
-                }
-            )
+        if self.path.stat().st_size == 0 or not current:
+            self._append(self._header)
 
     # -- reading -----------------------------------------------------------
 
-    def _load_existing(self) -> None:
+    def _load_existing(self) -> bool:
+        """Load the units under current headers; count the rest as stale.
+
+        Returns whether new records may follow the file's last header
+        (true for a missing or header-less file).
+        """
         if not self.path.is_file():
-            return
-        file_token: Optional[str] = None
+            return True
+        current = True
+        stale = set()
         for line in self.path.read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line:
@@ -91,7 +104,6 @@ class CampaignJournal:
                 continue
             kind = record.get("kind")
             if kind == "header":
-                file_token = record.get("code")
                 if record.get("format") != JOURNAL_FORMAT:
                     _log.warning(
                         "journal %s has format %r (expected %d); entries "
@@ -100,8 +112,13 @@ class CampaignJournal:
                         record.get("format"),
                         JOURNAL_FORMAT,
                     )
-                    return
+                current = record == self._header
             elif kind == "unit":
+                if not current:
+                    # Keys embed the code token, so this unit can never
+                    # match a current key.
+                    stale.add(record.get("key"))
+                    continue
                 try:
                     summary = pickle.loads(
                         base64.b64decode(record["summary"])
@@ -112,17 +129,17 @@ class CampaignJournal:
                 self._entries[record["key"]] = summary
             # "failure" records are informational only: the unit is
             # not done, so a resume will retry it.
-        if file_token is not None and file_token != self._code_token:
-            # Keys embed the code token, so these entries can never
-            # match a current key — say so rather than silently
-            # re-simulating everything.
-            self.stale_entries = len(self._entries)
+        self.stale_entries = len(stale)
+        if stale:
+            # Say so rather than silently re-simulating everything.
             _log.warning(
-                "journal %s was written by a different code version; its "
-                "%d completed unit(s) will not match and will re-run",
+                "journal %s was written by a different code version or "
+                "format; its %d completed unit(s) will not match and will "
+                "re-run",
                 self.path,
-                len(self._entries),
+                self.stale_entries,
             )
+        return current
 
     def key(self, config: Any) -> str:
         """Digest for ``config`` — identical to the result cache's key."""

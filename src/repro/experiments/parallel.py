@@ -6,9 +6,11 @@ embarrassingly parallel workload.  :class:`ParallelRunner` takes a
 list of fully-seeded :class:`~repro.experiments.topology.ScenarioConfig`
 work units, consults an optional
 :class:`~repro.experiments.cache.ResultCache` and
-:class:`~repro.experiments.journal.CampaignJournal`, and dispatches
-only the remaining misses one unit at a time over a supervised pool
-of forked worker processes.
+:class:`~repro.experiments.journal.CampaignJournal`, and runs only the
+remaining misses, one unit at a time, through a single scheduling
+loop.  Where the outcomes come from is the only thing that varies: an
+in-process source runs each unit synchronously, a supervised pool of
+forked worker processes runs them concurrently.
 
 The supervision layer is what makes long campaigns survivable:
 
@@ -16,11 +18,11 @@ The supervision layer is what makes long campaigns survivable:
   result collected individually, so one bad unit can never poison a
   batch the way a chunked ``pool.map`` does.
 * **Watchdogs** — a unit gets a wall-clock budget (``timeout``).  The
-  worker aborts cooperatively via the engine watchdog
+  unit aborts cooperatively via the engine watchdog
   (:class:`~repro.engine.simulator.WallClockExceeded`) and writes a
-  replay bundle naming the hung config; if the worker itself is stuck
-  (not even reaching the watchdog), the supervisor SIGKILLs it after
-  a grace period and respawns a fresh one.
+  replay bundle naming the hung config; if a pool worker itself is
+  stuck (not even reaching the watchdog), the supervisor SIGKILLs it
+  after a grace period and respawns a fresh one.
 * **Retry with backoff** — timeouts and worker crashes are retried up
   to :class:`~repro.experiments.faults.RetryPolicy.max_retries` times
   with exponential backoff and full jitter; deterministic unit errors
@@ -43,6 +45,7 @@ over the same seeds, faults or no faults.
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
 import multiprocessing.connection
@@ -114,7 +117,9 @@ def summarize(result: ScenarioResult) -> RunSummary:
 
 
 def _execute_unit(
-    config: ScenarioConfig, wall_timeout: Optional[float] = None
+    config: ScenarioConfig,
+    wall_timeout: Optional[float] = None,
+    validate: bool = False,
 ) -> RunSummary:
     """Worker entry point: run one seeded config, return its summary.
 
@@ -122,25 +127,18 @@ def _execute_unit(
     looked up through :mod:`repro.experiments.topology` at call time so
     tests can monkeypatch ``run_scenario`` and count invocations.
     ``wall_timeout`` arms the engine's cooperative watchdog.
+    ``validate=True`` attaches the invariant engine: a violation raises
+    :class:`~repro.validate.InvariantViolationError`, which the loop
+    treats as a deterministic unit error (never retried).  Unset
+    arguments are not passed on, so ``validate=False`` leaves the
+    process-wide validation default in charge.
     """
-    if wall_timeout is None:
-        return summarize(topology.run_scenario(config))
-    return summarize(topology.run_scenario(config, wall_timeout=wall_timeout))
-
-
-def _execute_unit_validated(
-    config: ScenarioConfig, wall_timeout: Optional[float] = None
-) -> RunSummary:
-    """Worker entry point with the invariant engine attached.
-
-    A violation raises :class:`~repro.validate.InvariantViolationError`
-    in the worker; the error (with its replay-bundle path) pickles
-    back to the supervisor, which treats it as a deterministic unit
-    error (never retried).
-    """
-    return summarize(
-        topology.run_scenario(config, validate=True, wall_timeout=wall_timeout)
-    )
+    kwargs = {}
+    if wall_timeout is not None:
+        kwargs["wall_timeout"] = wall_timeout
+    if validate:
+        kwargs["validate"] = True
+    return summarize(topology.run_scenario(config, **kwargs))
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -205,16 +203,41 @@ def _portable_error(exc: BaseException):
         return _RemoteError(type(exc).__name__, str(exc))
 
 
+def _attempt(
+    unit_fn, config: ScenarioConfig, wall_timeout: Optional[float]
+) -> Tuple:
+    """Run one unit once; return its tagged outcome.
+
+    The single place a unit executes, whether in this process or in a
+    pool worker.  Outcomes are tagged tuples::
+
+        ("ok",      summary)
+        ("timeout", message, bundle_path)
+        ("err",     exception)
+
+    Only ``Exception`` is caught, so a ``KeyboardInterrupt`` inside an
+    in-process unit still reaches the campaign loop.
+    """
+    started = time.monotonic()
+    try:
+        return ("ok", unit_fn(config, wall_timeout))
+    except WallClockExceeded:
+        bundle = _write_hang_bundle(config, time.monotonic() - started)
+        message = f"wall-clock budget of {wall_timeout:g}s exceeded"
+        return ("timeout", message, bundle)
+    except Exception as exc:
+        return ("err", exc)
+
+
 def _worker_main(conn, unit_fn) -> None:
     """Worker process loop: receive a unit, run it, send the outcome.
 
     SIGINT is ignored (the terminal delivers Ctrl-C to the whole
     process group; shutdown is the supervisor's decision, via a
-    ``None`` sentinel or SIGKILL).  Messages are tagged tuples::
-
-        ("ok",      index, summary)
-        ("timeout", index, message, bundle_path)
-        ("err",     index, exception_or_remote_error)
+    ``None`` sentinel or SIGKILL).  The outcome is :func:`_attempt`'s
+    tagged tuple; any other exception the unit raises is its error
+    too, and an error that will not pickle travels as a
+    :class:`_RemoteError`.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
@@ -224,23 +247,15 @@ def _worker_main(conn, unit_fn) -> None:
             break
         if task is None:
             break
-        index, config, wall_timeout = task
-        started = time.monotonic()
+        config, wall_timeout = task
         try:
-            summary = unit_fn(config, wall_timeout)
-            message: Tuple = ("ok", index, summary)
-        except WallClockExceeded:
-            bundle = _write_hang_bundle(config, time.monotonic() - started)
-            message = (
-                "timeout",
-                index,
-                f"wall-clock budget of {wall_timeout:g}s exceeded",
-                bundle,
-            )
+            outcome = _attempt(unit_fn, config, wall_timeout)
         except BaseException as exc:
-            message = ("err", index, _portable_error(exc))
+            outcome = ("err", exc)
+        if outcome[0] == "err":
+            outcome = ("err", _portable_error(outcome[1]))
         try:
-            conn.send(message)
+            conn.send(outcome)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent died
             break
 
@@ -283,15 +298,7 @@ class _WorkerHandle:
     def assign(self, task: _Task, wall_timeout: Optional[float]) -> None:
         self.task = task
         self.started_at = time.monotonic()
-        self.conn.send((task.index, task.config, wall_timeout))
-
-    def overdue(self, hard_timeout: Optional[float]) -> bool:
-        """True when the current unit blew even the hard-kill deadline."""
-        return (
-            self.task is not None
-            and hard_timeout is not None
-            and time.monotonic() - self.started_at > hard_timeout
-        )
+        self.conn.send((task.config, wall_timeout))
 
     def kill(self) -> None:
         """SIGKILL the worker and reap it."""
@@ -312,6 +319,131 @@ class _WorkerHandle:
             self.process.kill()
             self.process.join()
         self.conn.close()
+
+
+class _InProcess:
+    """Outcome source that runs each unit here, synchronously, on start.
+
+    Used for ``workers == 1``, a single unit, or a platform without
+    fork.  No crash can happen and there is no hard-kill watchdog:
+    timeouts come from the engine's cooperative watchdog alone.
+    """
+
+    def __init__(self, unit_fn, timeout: Optional[float]) -> None:
+        self.unit_fn = unit_fn
+        self.timeout = timeout
+        self.finished: List[Tuple[_Task, Tuple]] = []
+
+    def idle(self) -> bool:
+        return not self.finished
+
+    def busy(self) -> bool:
+        return bool(self.finished)
+
+    def start(self, task: _Task) -> None:
+        outcome = _attempt(self.unit_fn, task.config, self.timeout)
+        self.finished.append((task, outcome))
+
+    def collect(self) -> List[Tuple[_Task, Tuple]]:
+        finished, self.finished = self.finished, []
+        return finished
+
+    def close(self) -> None:
+        pass
+
+
+class _Pool:
+    """Outcome source backed by supervised forked worker processes.
+
+    Each worker runs :func:`_attempt` and sends the outcome over its
+    pipe.  Two outcomes exist only here, both followed by a respawn: a
+    worker that died (``("crash", message)``) and one hard-killed past
+    the deadline (a ``"timeout"`` outcome).
+    """
+
+    def __init__(
+        self, context, unit_fn, size: int, timeout: Optional[float]
+    ) -> None:
+        self.context = context
+        self.unit_fn = unit_fn
+        self.timeout = timeout
+        self.hard_timeout = (
+            timeout * HARD_KILL_FACTOR + HARD_KILL_SLACK
+            if timeout is not None
+            else None
+        )
+        self.workers = [_WorkerHandle(context, unit_fn) for _ in range(size)]
+
+    def idle(self) -> bool:
+        return any(w.task is None for w in self.workers)
+
+    def busy(self) -> bool:
+        return any(w.task is not None for w in self.workers)
+
+    def start(self, task: _Task) -> None:
+        worker = next(w for w in self.workers if w.task is None)
+        worker.assign(task, self.timeout)
+
+    def collect(self) -> List[Tuple[_Task, Tuple]]:
+        """Every outcome that lands within one poll tick."""
+        busy = [w for w in self.workers if w.task is not None]
+        # Wake on a result, a worker death, or the poll tick.
+        multiprocessing.connection.wait(
+            [w.conn for w in busy] + [w.process.sentinel for w in busy],
+            timeout=POLL_INTERVAL,
+        )
+        finished = []
+        for worker in busy:
+            if worker.conn.poll():
+                try:
+                    outcome = worker.conn.recv()
+                except (EOFError, OSError):
+                    # A dead worker's pipe polls readable (EOF).
+                    outcome = self._crashed(worker)
+            elif not worker.process.is_alive():
+                outcome = self._crashed(worker)
+            elif (
+                self.hard_timeout is not None
+                and time.monotonic() - worker.started_at > self.hard_timeout
+            ):
+                outcome = self._hung(worker)
+            else:
+                continue
+            finished.append((worker.task, outcome))
+            worker.task = None
+        return finished
+
+    def _replace(self, worker: _WorkerHandle) -> None:
+        """SIGKILL and reap a dead or stuck worker; respawn it in place."""
+        worker.kill()
+        index = self.workers.index(worker)
+        self.workers[index] = _WorkerHandle(self.context, self.unit_fn)
+
+    def _crashed(self, worker: _WorkerHandle) -> Tuple:
+        worker.process.join(timeout=1.0)  # reap so exitcode is real
+        exitcode = worker.process.exitcode
+        self._replace(worker)
+        return ("crash", f"worker process died (exit code {exitcode})")
+
+    def _hung(self, worker: _WorkerHandle) -> Tuple:
+        """The hard-deadline kill: a timeout, with a hang bundle."""
+        self._replace(worker)
+        task = worker.task
+        bundle = task.bundle_path or _write_hang_bundle(
+            task.config, time.monotonic() - worker.started_at
+        )
+        message = (
+            f"worker unresponsive past the hard deadline "
+            f"({self.timeout:g}s budget); killed"
+        )
+        return ("timeout", message, bundle)
+
+    def close(self) -> None:
+        for worker in self.workers:
+            if worker.process.is_alive() and worker.task is None:
+                worker.stop()
+            else:
+                worker.kill()
 
 
 @dataclass
@@ -356,7 +488,7 @@ class ParallelRunner:
         Per-unit wall-clock budget in seconds; ``None`` disables the
         watchdogs.  In pool mode a unit that overshoots is aborted
         cooperatively (or its worker hard-killed at
-        ``timeout * 1.5 + 1`` as a backstop); in serial mode only the
+        ``timeout * 1.5 + 1`` as a backstop); in-process only the
         cooperative engine watchdog applies.
     retry:
         :class:`RetryPolicy` for timeouts and worker crashes.
@@ -390,10 +522,6 @@ class ParallelRunner:
         self.retry = retry if retry is not None else RetryPolicy()
         self.fail_fast = fail_fast
         self.journal = journal
-
-    @property
-    def _unit(self):
-        return _execute_unit_validated if self.validate else _execute_unit
 
     # -- key/bookkeeping helpers ------------------------------------------
 
@@ -435,11 +563,8 @@ class ParallelRunner:
         message: str,
         pending: "deque[_Task]",
         failures: Dict[int, UnitFailure],
-    ) -> bool:
-        """Requeue a retryable fault with backoff, or quarantine it.
-
-        Returns True when the task was requeued.
-        """
+    ) -> None:
+        """Requeue a retryable fault with backoff, or quarantine it."""
         task.errors.append(f"attempt {task.attempts}: {kind}: {message}")
         if task.attempts <= self.retry.max_retries:
             delay = self.retry.delay(task.attempts - 1, task.key or str(task.index))
@@ -454,13 +579,34 @@ class ParallelRunner:
                 delay,
             )
             pending.append(task)
-            return True
+            return
         self._quarantine(task, kind, "; ".join(task.errors), failures)
-        return False
 
-    # -- execution paths ---------------------------------------------------
+    # -- the campaign loop --------------------------------------------------
 
-    def _run_serial(
+    def _source(self, n_tasks: int):
+        """Where outcomes come from: a worker pool, or this process."""
+        unit_fn = functools.partial(_execute_unit, validate=self.validate)
+        if self.workers > 1 and n_tasks > 1:
+            context = _fork_context()
+            if context is not None:
+                size = min(self.workers, n_tasks)
+                return _Pool(context, unit_fn, size, self.timeout)
+            _log.warning(
+                "fork start method unavailable: running %d "
+                "unit(s) serially despite --workers %d "
+                "(spawn would re-import the package per "
+                "worker; hard-kill watchdogs disabled)",
+                n_tasks,
+                self.workers,
+            )
+        return _InProcess(unit_fn, self.timeout)
+
+    def _interrupted(self, signum: int, completed: int, total: int):
+        journal = str(self.journal.path) if self.journal else None
+        return CampaignInterrupted(signum, completed, total, journal)
+
+    def _schedule(
         self,
         tasks: List[_Task],
         deliver: Callable[[int, RunSummary], None],
@@ -468,205 +614,64 @@ class ParallelRunner:
         completed: Callable[[], int],
         total: int,
     ) -> Dict[int, UnitFailure]:
-        """In-process execution with the same fault semantics as the pool.
+        """Run every task to an outcome: the one retry/quarantine loop.
 
-        Crashes cannot happen here (no worker processes); timeouts are
-        enforced by the engine's cooperative watchdog only.
+        Hands each unit whose backoff has elapsed to the outcome
+        source, routes every outcome through :meth:`_on_outcome`, and
+        checks for SIGINT/SIGTERM between units.
         """
+        source = self._source(len(tasks))
         pending = deque(tasks)
         failures: Dict[int, UnitFailure] = {}
-        while pending:
-            if interrupted["sig"] is not None:
-                raise CampaignInterrupted(
-                    interrupted["sig"],
-                    completed(),
-                    total,
-                    str(self.journal.path) if self.journal else None,
-                )
-            task = pending.popleft()
-            wait = task.not_before - time.monotonic()
-            if wait > 0:
-                time.sleep(min(wait, POLL_INTERVAL))
-                pending.appendleft(task)
-                continue
-            task.attempts += 1
-            started = time.monotonic()
-            try:
-                summary = self._unit(task.config, self.timeout)
-            except WallClockExceeded:
-                task.bundle_path = _write_hang_bundle(
-                    task.config, time.monotonic() - started
-                )
-                self._retry_or_quarantine(
-                    task,
-                    FAULT_TIMEOUT,
-                    f"wall-clock budget of {self.timeout:g}s exceeded",
-                    pending,
-                    failures,
-                )
-                continue
-            except KeyboardInterrupt:
-                raise CampaignInterrupted(
-                    signal.SIGINT,
-                    completed(),
-                    total,
-                    str(self.journal.path) if self.journal else None,
-                )
-            except Exception as exc:
-                if self.fail_fast:
-                    raise
-                self._quarantine(
-                    task, FAULT_ERROR, f"{type(exc).__name__}: {exc}", failures
-                )
-                continue
-            deliver(task.index, summary)
-        return failures
-
-    def _run_supervised(
-        self,
-        tasks: List[_Task],
-        deliver: Callable[[int, RunSummary], None],
-        interrupted: Dict[str, Optional[int]],
-        completed: Callable[[], int],
-        total: int,
-    ) -> Dict[int, UnitFailure]:
-        """Supervised pool: per-unit dispatch, watchdogs, retry, respawn."""
-        context = _fork_context()
-        assert context is not None  # dispatch guarantees this
-        hard_timeout = (
-            self.timeout * HARD_KILL_FACTOR + HARD_KILL_SLACK
-            if self.timeout is not None
-            else None
-        )
-        pending = deque(tasks)
-        failures: Dict[int, UnitFailure] = {}
-        n_workers = min(self.workers, len(tasks))
-        workers = [_WorkerHandle(context, self._unit) for _ in range(n_workers)]
-
-        def outstanding() -> int:
-            return len(pending) + sum(1 for w in workers if w.task is not None)
-
         try:
-            while outstanding():
+            while pending or source.busy():
                 if interrupted["sig"] is not None:
-                    raise CampaignInterrupted(
-                        interrupted["sig"],
-                        completed(),
-                        total,
-                        str(self.journal.path) if self.journal else None,
-                    )
+                    raise self._interrupted(interrupted["sig"], completed(), total)
                 now = time.monotonic()
-                # Hand ready units to idle workers (skipping tasks
-                # still inside their backoff window).
-                for worker in workers:
-                    if worker.task is None and pending:
-                        task = _pop_ready(pending, now)
-                        if task is None:
-                            break  # everything pending is backing off
-                        task.attempts += 1
-                        worker.assign(task, self.timeout)
-                busy = [w for w in workers if w.task is not None]
-                if not busy:
-                    time.sleep(POLL_INTERVAL)
+                while pending and source.idle():
+                    task = _pop_ready(pending, now)
+                    if task is None:
+                        break  # everything pending is backing off
+                    task.attempts += 1
+                    source.start(task)
+                if not source.busy():
+                    wait = min(t.not_before for t in pending) - now
+                    time.sleep(min(wait, POLL_INTERVAL))
                     continue
-                # Wake on a result, a worker death, or the poll tick.
-                multiprocessing.connection.wait(
-                    [w.conn for w in busy] + [w.process.sentinel for w in busy],
-                    timeout=POLL_INTERVAL,
-                )
-                for worker in busy:
-                    if worker.task is None:
-                        continue
-                    if worker.conn.poll():
-                        try:
-                            message = worker.conn.recv()
-                        except (EOFError, OSError):
-                            # A dead worker's pipe polls readable (EOF).
-                            self._on_crash(
-                                worker, workers, context, pending, failures
-                            )
-                            continue
-                        self._on_message(
-                            worker, message, deliver, pending, failures
-                        )
-                    elif not worker.process.is_alive():
-                        self._on_crash(worker, workers, context, pending, failures)
-                    elif worker.overdue(hard_timeout):
-                        self._on_hard_timeout(
-                            worker, workers, context, pending, failures
-                        )
+                for task, outcome in source.collect():
+                    self._on_outcome(task, outcome, deliver, pending, failures)
+        except KeyboardInterrupt:
+            # An in-process unit raised KeyboardInterrupt itself.
+            raise self._interrupted(signal.SIGINT, completed(), total)
         finally:
-            for worker in workers:
-                if worker.process.is_alive() and worker.task is None:
-                    worker.stop()
-                else:
-                    worker.kill()
+            source.close()
         return failures
 
-    def _on_message(self, worker, message, deliver, pending, failures) -> None:
-        task = worker.task
-        worker.task = None
-        kind = message[0]
+    def _on_outcome(self, task, outcome, deliver, pending, failures) -> None:
+        """Deliver one attempt's outcome, or retry or quarantine its unit."""
+        kind = outcome[0]
         if kind == "ok":
-            deliver(task.index, message[2])
+            deliver(task.index, outcome[1])
         elif kind == "timeout":
-            task.bundle_path = message[3]
+            task.bundle_path = outcome[2]
             self._retry_or_quarantine(
-                task, FAULT_TIMEOUT, message[2], pending, failures
+                task, FAULT_TIMEOUT, outcome[1], pending, failures
+            )
+        elif kind == "crash":
+            self._retry_or_quarantine(
+                task, FAULT_CRASH, outcome[1], pending, failures
             )
         else:  # "err": deterministic unit failure — never retried
-            error = message[2]
-            if self.fail_fast:
-                if isinstance(error, BaseException):
+            error = outcome[1]
+            if isinstance(error, BaseException):
+                if self.fail_fast:
                     raise error
-                raise UnitQuarantined(
-                    self._fail(
-                        task, FAULT_ERROR, f"{error.type_name}: {error.message}"
-                    )
-                )
-            detail = (
-                f"{type(error).__name__}: {error}"
-                if isinstance(error, BaseException)
-                else f"{error.type_name}: {error.message}"
-            )
+                detail = f"{type(error).__name__}: {error}"
+            else:
+                detail = f"{error.type_name}: {error.message}"
+                if self.fail_fast:
+                    raise UnitQuarantined(self._fail(task, FAULT_ERROR, detail))
             self._quarantine(task, FAULT_ERROR, detail, failures)
-
-    def _respawn(self, worker, workers, context) -> None:
-        """Replace a dead/killed worker in place."""
-        workers[workers.index(worker)] = _WorkerHandle(context, self._unit)
-
-    def _on_crash(self, worker, workers, context, pending, failures) -> None:
-        task = worker.task
-        worker.task = None
-        worker.process.join(timeout=1.0)  # reap so exitcode is real
-        exitcode = worker.process.exitcode
-        worker.kill()  # reap + close the pipe
-        self._respawn(worker, workers, context)
-        self._retry_or_quarantine(
-            task,
-            FAULT_CRASH,
-            f"worker process died (exit code {exitcode})",
-            pending,
-            failures,
-        )
-
-    def _on_hard_timeout(self, worker, workers, context, pending, failures) -> None:
-        task = worker.task
-        worker.task = None
-        worker.kill()
-        self._respawn(worker, workers, context)
-        if task.bundle_path is None:
-            task.bundle_path = _write_hang_bundle(
-                task.config, time.monotonic() - worker.started_at
-            )
-        self._retry_or_quarantine(
-            task,
-            FAULT_TIMEOUT,
-            f"worker unresponsive past the hard deadline "
-            f"({self.timeout:g}s budget); killed",
-            pending,
-            failures,
-        )
 
     # -- campaign orchestration -------------------------------------------
 
@@ -737,27 +742,7 @@ class ParallelRunner:
                 # Not the main thread: signals stay with their owner.
                 pass
             try:
-                if self.workers > 1 and len(tasks) > 1:
-                    if _fork_context() is None:
-                        _log.warning(
-                            "fork start method unavailable: running %d "
-                            "unit(s) serially despite --workers %d "
-                            "(spawn would re-import the package per "
-                            "worker; hard-kill watchdogs disabled)",
-                            len(tasks),
-                            self.workers,
-                        )
-                        failures = self._run_serial(
-                            tasks, deliver, interrupted, completed, n
-                        )
-                    else:
-                        failures = self._run_supervised(
-                            tasks, deliver, interrupted, completed, n
-                        )
-                else:
-                    failures = self._run_serial(
-                        tasks, deliver, interrupted, completed, n
-                    )
+                failures = self._schedule(tasks, deliver, interrupted, completed, n)
             finally:
                 for signum, handler in previous:
                     signal.signal(signum, handler)

@@ -5,19 +5,22 @@ each point is therefore an average over several seeds.
 :func:`run_replicated` runs one configuration over N seeds and
 aggregates; :func:`sweep` maps that over a parameter list.
 
-Both route through :class:`~repro.experiments.parallel.ParallelRunner`:
-pass ``workers=N`` to fan the seeds out over a process pool and an
-optional :class:`~repro.experiments.cache.ResultCache` to skip points
-that were already simulated under the current code version.  The
-aggregates are bit-identical whichever path executes them — same
-seeds, same per-seed metrics, same reduction order.
+Both run their seeds through one
+:class:`~repro.experiments.parallel.ParallelRunner`, passed as
+``runner=`` (``None`` means a default serial one).  The runner holds
+every execution knob: ``workers=N`` fans the seeds out over a process
+pool, a :class:`~repro.experiments.cache.ResultCache` skips points
+already simulated under the current code version, and the aggregates
+are bit-identical whichever path executes them — same seeds, same
+per-seed metrics, same reduction order.
 
-Both are also fault-tolerant (see :mod:`repro.experiments.faults`):
-``timeout`` bounds each seed in wall-clock seconds, ``retries`` bounds
-how often a timed-out/crashed seed is re-run, ``journal`` checkpoints
-completed seeds for ``--resume``, and ``fail_fast=False`` degrades to
-*partial* aggregates — the surviving seeds are averaged and every
-missing one is enumerated in the result's ``failures``/``report``.
+The runner is also fault-tolerant (see :mod:`repro.experiments.faults`):
+its ``timeout`` bounds each seed in wall-clock seconds, its
+``RetryPolicy`` bounds how often a timed-out/crashed seed is re-run,
+its ``journal`` checkpoints completed seeds for ``--resume``, and
+``fail_fast=False`` degrades to *partial* aggregates — the surviving
+seeds are averaged and every missing one is enumerated in the
+result's ``failures``/``report``.
 """
 
 from __future__ import annotations
@@ -26,13 +29,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.experiments.cache import ResultCache
-from repro.experiments.faults import (
-    CompletenessReport,
-    RetryPolicy,
-    UnitFailure,
-)
-from repro.experiments.journal import CampaignJournal
+from repro.experiments.faults import CompletenessReport, UnitFailure
 from repro.experiments.parallel import ParallelRunner, RunSummary
 from repro.experiments.topology import ScenarioConfig
 
@@ -179,64 +176,31 @@ def _aggregate(
     )
 
 
-def _make_runner(
-    workers: Optional[int],
-    cache: Optional[ResultCache],
-    validate: bool,
-    timeout: Optional[float],
-    retries: Optional[int],
-    fail_fast: bool,
-    journal: Optional[CampaignJournal],
-) -> ParallelRunner:
-    """One place that translates the public knobs into a runner."""
-    retry = RetryPolicy(max_retries=retries) if retries is not None else None
-    return ParallelRunner(
-        workers=workers,
-        cache=cache,
-        validate=validate,
-        timeout=timeout,
-        retry=retry,
-        fail_fast=fail_fast,
-        journal=journal,
-    )
-
-
 def run_replicated(
     config: ScenarioConfig,
     replications: int = 5,
     base_seed: int = 1,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> ReplicatedResult:
     """Run ``config`` over ``replications`` seeds and aggregate.
 
     Seeds are ``base_seed + i``; each run gets fully independent
     channel/backoff randomness via the seed-derived substreams.
-    ``workers > 1`` fans the seeds over a process pool (``0`` = one
-    per CPU); ``cache`` skips seeds already simulated under the
-    current code version.  Aggregates are identical either way.
-    ``validate=True`` attaches the invariant engine to every simulated
-    seed (cache hits skip simulation and are not re-validated).
+    ``runner`` executes them (``None`` = a default serial
+    :class:`ParallelRunner`); its workers, cache, validation, timeout,
+    retries and journal apply to every seed, and the aggregates are
+    identical whichever runner is used.
 
-    Fault handling: ``timeout`` bounds each seed's wall-clock time,
-    ``retries`` re-runs timed-out/crashed seeds (None = policy
-    default), ``journal`` checkpoints completed seeds for resume.
-    With ``fail_fast=True`` (default) a quarantined seed raises its
-    taxonomy exception; with ``fail_fast=False`` the aggregate is
+    With a fail-fast runner (the default) a quarantined seed raises
+    its taxonomy exception; with ``fail_fast=False`` the aggregate is
     computed over the surviving seeds and the result carries the
     failures — unless *every* seed failed, which still raises.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    runner = _make_runner(
-        workers, cache, validate, timeout, retries, fail_fast, journal
+    campaign = (runner or ParallelRunner()).run_campaign(
+        _seeded_configs(config, replications, base_seed)
     )
-    campaign = runner.run_campaign(_seeded_configs(config, replications, base_seed))
     survivors = campaign.surviving()
     if not survivors:
         # Nothing to aggregate: even graceful degradation has a floor.
@@ -267,22 +231,16 @@ def sweep_campaign(
     make_config: Callable[[T], ScenarioConfig],
     replications: int = 5,
     base_seed: int = 1,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> SweepCampaign:
     """Fault-tolerant sweep: every point, plus a completeness report.
 
     The whole sweep — every ``(value, seed)`` pair — is flattened into
-    one batch for the parallel engine, so ``workers=N`` parallelizes
-    across points as well as seeds, retries/timeouts apply per unit,
-    and a ``journal`` checkpoints the entire campaign for resume.
-    With ``fail_fast=False`` quarantined seeds degrade their point to
-    a partial average (or drop the point when no seed survived).
+    one batch for ``runner``, so a pooled runner parallelizes across
+    points as well as seeds, retries/timeouts apply per unit, and its
+    journal checkpoints the entire campaign for resume.  With
+    ``fail_fast=False`` quarantined seeds degrade their point to a
+    partial average (or drop the point when no seed survived).
     """
     value_list = list(values)
     seen: set = set()
@@ -297,10 +255,7 @@ def sweep_campaign(
     units: List[ScenarioConfig] = []
     for config in configs:
         units.extend(_seeded_configs(config, replications, base_seed))
-    runner = _make_runner(
-        workers, cache, validate, timeout, retries, fail_fast, journal
-    )
-    campaign = runner.run_campaign(units)
+    campaign = (runner or ParallelRunner()).run_campaign(units)
     points: Dict[T, ReplicatedResult] = {}
     for i, (value, config) in enumerate(zip(value_list, configs)):
         lo, hi = i * replications, (i + 1) * replications
@@ -319,13 +274,7 @@ def sweep(
     make_config: Callable[[T], ScenarioConfig],
     replications: int = 5,
     base_seed: int = 1,
-    workers: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    validate: bool = False,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    fail_fast: bool = True,
-    journal: Optional[CampaignJournal] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Dict[T, ReplicatedResult]:
     """Run a replicated experiment for every value of a swept parameter.
 
@@ -348,11 +297,5 @@ def sweep(
         make_config,
         replications=replications,
         base_seed=base_seed,
-        workers=workers,
-        cache=cache,
-        validate=validate,
-        timeout=timeout,
-        retries=retries,
-        fail_fast=fail_fast,
-        journal=journal,
+        runner=runner,
     ).points

@@ -4,8 +4,9 @@ See :mod:`repro.validate.engine` for the architecture.  The usual
 entry points:
 
 * ``run_scenario(config, validate=True)`` — one validated run.
-* ``run_replicated(..., validate=True)`` / ``sweep(..., validate=True)``
-  — validated replication (also behind the CLI's ``--validate``).
+* ``run_replicated(..., runner=ParallelRunner(validate=True))`` (same
+  for ``sweep``) — validated replication (also behind the CLI's
+  ``--validate``).
 * :func:`set_default_validation` — flip the process default (the test
   suite turns it on; benchmarks leave it off).
 * :func:`replay_bundle` / ``repro replay <bundle>`` — reproduce a

@@ -24,6 +24,7 @@ from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.experiments.config import wan_scenario
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import ReplicatedResult, run_replicated
 from repro.experiments.topology import (
     ChannelConfig,
@@ -113,8 +114,12 @@ def assert_serial_parallel_identical(
     """Serial vs. process-pool replication must agree on every bit."""
     if config is None:
         config = wan_scenario(transfer_bytes=8 * 1024, record_trace=False)
-    serial = run_replicated(config, replications, base_seed, workers=1)
-    pooled = run_replicated(config, replications, base_seed, workers=workers)
+    serial = run_replicated(
+        config, replications, base_seed, runner=ParallelRunner(workers=1)
+    )
+    pooled = run_replicated(
+        config, replications, base_seed, runner=ParallelRunner(workers=workers)
+    )
     for field_name in _AGGREGATE_FIELDS:
         serial_value = getattr(serial, field_name)
         pooled_value = getattr(pooled, field_name)

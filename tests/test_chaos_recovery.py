@@ -24,8 +24,10 @@ from repro.experiments.faults import (
     FAULT_ERROR,
     FAULT_TIMEOUT,
     CampaignInterrupted,
+    RetryPolicy,
 )
 from repro.experiments.journal import CampaignJournal
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import run_replicated
 
 from tests.test_experiments_parallel import assert_identical_aggregates
@@ -36,6 +38,25 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="supervised pool requires the fork start method",
 )
+
+
+class SeedLog:
+    """Seeds the units ran for, in seed order.
+
+    Kept in a file so units run by worker processes are counted too.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def add(self, seed: int) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(f"{seed}\n")
+
+    def seeds(self) -> list:
+        if not self.path.exists():
+            return []
+        return sorted(int(line) for line in self.path.read_text().split())
 
 
 @pytest.fixture()
@@ -53,7 +74,9 @@ class TestWorkerCrashRecovery:
     ):
         """SIGKILL one worker mid-campaign; aggregates must not change."""
         config = wan_scenario(transfer_bytes=TINY)
-        baseline = run_replicated(config, replications=4, base_seed=3, workers=1)
+        baseline = run_replicated(
+            config, replications=4, base_seed=3, runner=ParallelRunner(workers=1)
+        )
 
         flag = tmp_path / "killed-once"
         parent_pid = os.getpid()
@@ -73,7 +96,9 @@ class TestWorkerCrashRecovery:
             return original(cfg, **kwargs)
 
         monkeypatch.setattr(topology, "run_scenario", chaotic)
-        recovered = run_replicated(config, replications=4, base_seed=3, workers=3)
+        recovered = run_replicated(
+            config, replications=4, base_seed=3, runner=ParallelRunner(workers=3)
+        )
         assert flag.exists(), "the chaos SIGKILL never fired"
         assert_identical_aggregates(baseline, recovered)
         assert [r.metrics for r in baseline.results] == [
@@ -86,7 +111,9 @@ class TestWorkerCrashRecovery:
     ):
         """A worker stuck past the hard deadline is killed, not waited on."""
         config = wan_scenario(transfer_bytes=TINY)
-        baseline = run_replicated(config, replications=3, base_seed=1, workers=1)
+        baseline = run_replicated(
+            config, replications=3, base_seed=1, runner=ParallelRunner(workers=1)
+        )
 
         flag = tmp_path / "hung-once"
         original = topology.run_scenario
@@ -105,7 +132,10 @@ class TestWorkerCrashRecovery:
         monkeypatch.setattr(topology, "run_scenario", hang_once)
         start = time.monotonic()
         recovered = run_replicated(
-            config, replications=3, base_seed=1, workers=2, timeout=0.2
+            config,
+            replications=3,
+            base_seed=1,
+            runner=ParallelRunner(workers=2, timeout=0.2),
         )
         assert time.monotonic() - start < 30.0
         assert flag.exists(), "the chaos hang never fired"
@@ -113,6 +143,10 @@ class TestWorkerCrashRecovery:
 
 
 class TestTimeoutQuarantine:
+    """Timeouts on in-process units; the pooled subclass reruns them."""
+
+    workers = 1
+
     def test_engine_watchdog_aborts_a_runaway_simulation(self):
         from repro.engine.simulator import Simulator
 
@@ -143,9 +177,12 @@ class TestTimeoutQuarantine:
         result = run_replicated(
             config,
             replications=3,
-            timeout=0.1,
-            retries=1,
-            fail_fast=False,
+            runner=ParallelRunner(
+                workers=self.workers,
+                timeout=0.1,
+                retry=RetryPolicy(max_retries=1),
+                fail_fast=False,
+            ),
         )
         assert result.partial
         assert result.replications == 2 and result.attempted == 3
@@ -174,32 +211,73 @@ class TestTimeoutQuarantine:
             run_replicated(
                 wan_scenario(transfer_bytes=TINY),
                 replications=2,
-                timeout=0.1,
-                retries=0,
+                runner=ParallelRunner(
+                    workers=self.workers,
+                    timeout=0.1,
+                    retry=RetryPolicy(max_retries=0),
+                ),
             )
 
 
+@needs_fork
+class TestTimeoutQuarantinePooled(TestTimeoutQuarantine):
+    workers = 2
+    # Engine-level: no campaign runs, so there is nothing to pool.
+    test_engine_watchdog_aborts_a_runaway_simulation = None
+
+
 class TestDeterministicErrors:
-    def test_unit_error_is_never_retried(self, monkeypatch, bundle_dir):
+    """Unit errors on in-process units; the pooled subclass reruns them."""
+
+    workers = 1
+
+    def test_unit_error_is_never_retried(self, tmp_path, monkeypatch, bundle_dir):
         config = wan_scenario(transfer_bytes=TINY)
-        calls = []
+        log = SeedLog(tmp_path / "calls")
         original = topology.run_scenario
 
         def broken_seed(cfg, **kwargs):
-            calls.append(cfg.seed)
+            log.add(cfg.seed)
             if cfg.seed == 2:
                 raise ValueError("deterministically broken unit")
             return original(cfg, **kwargs)
 
         monkeypatch.setattr(topology, "run_scenario", broken_seed)
         result = run_replicated(
-            config, replications=3, retries=5, fail_fast=False
+            config,
+            replications=3,
+            runner=ParallelRunner(
+                workers=self.workers,
+                retry=RetryPolicy(max_retries=5),
+                fail_fast=False,
+            ),
         )
+        calls = log.seeds()
         assert result.partial
         (failure,) = result.failures
         assert failure.kind == FAULT_ERROR
         assert failure.attempts == 1  # retrying cannot help
         assert calls.count(2) == 1
+
+    def test_fail_fast_reraises_the_original_error(self, monkeypatch, bundle_dir):
+        original = topology.run_scenario
+        raised = []
+
+        def broken_seed(cfg, **kwargs):
+            if cfg.seed == 2:
+                raised.append(ValueError("deterministically broken unit"))
+                raise raised[-1]
+            return original(cfg, **kwargs)
+
+        monkeypatch.setattr(topology, "run_scenario", broken_seed)
+        with pytest.raises(ValueError, match="deterministically broken") as info:
+            run_replicated(
+                wan_scenario(transfer_bytes=TINY),
+                replications=3,
+                runner=ParallelRunner(workers=self.workers),
+            )
+        if self.workers == 1:
+            assert info.value is raised[0]  # the very object, not a copy
 
     @needs_fork
     def test_fail_fast_reraises_the_original_error_from_the_pool(
@@ -215,18 +293,33 @@ class TestDeterministicErrors:
         monkeypatch.setattr(topology, "run_scenario", broken_seed)
         with pytest.raises(ValueError, match="deterministically broken"):
             run_replicated(
-                wan_scenario(transfer_bytes=TINY), replications=3, workers=2
+                wan_scenario(transfer_bytes=TINY),
+                replications=3,
+                runner=ParallelRunner(workers=2),
             )
 
 
+@needs_fork
+class TestDeterministicErrorsPooled(TestDeterministicErrors):
+    workers = 2
+    # Runs once, in the base class.
+    test_fail_fast_reraises_the_original_error_from_the_pool = None
+
+
 class TestInterruptAndResume:
+    """Resume on in-process units; the pooled subclass reruns it."""
+
+    workers = 1
+
     def test_sigint_flushes_journal_and_exits_cleanly(
         self, tmp_path, monkeypatch, bundle_dir
     ):
         """Ctrl-C mid-campaign: completed units are already durable."""
         journal_path = tmp_path / "camp.journal"
         config = wan_scenario(transfer_bytes=TINY)
-        baseline = run_replicated(config, replications=4, workers=1)
+        baseline = run_replicated(
+            config, replications=4, runner=ParallelRunner(workers=1)
+        )
 
         calls = []
         original = topology.run_scenario
@@ -242,7 +335,11 @@ class TestInterruptAndResume:
         monkeypatch.setattr(topology, "run_scenario", interrupting)
         journal = CampaignJournal(journal_path)
         with pytest.raises(CampaignInterrupted) as info:
-            run_replicated(config, replications=4, workers=1, journal=journal)
+            run_replicated(
+                config,
+                replications=4,
+                runner=ParallelRunner(workers=1, journal=journal),
+            )
         journal.close()
         assert info.value.completed == 3
         assert info.value.total == 4
@@ -252,29 +349,61 @@ class TestInterruptAndResume:
         calls.clear()
         resumed_journal = CampaignJournal(journal_path)
         result = run_replicated(
-            config, replications=4, workers=1, journal=resumed_journal
+            config,
+            replications=4,
+            runner=ParallelRunner(workers=1, journal=resumed_journal),
         )
         resumed_journal.close()
         assert calls == [4]  # seeds 1-3 came from the journal
         assert result.report.from_journal == 3
         assert_identical_aggregates(baseline, result)
 
+    def test_keyboard_interrupt_inside_a_unit_interrupts_the_campaign(
+        self, monkeypatch
+    ):
+        """A unit that raises KeyboardInterrupt stops the campaign like ^C."""
+        original = topology.run_scenario
+
+        def interrupted_seed(cfg, **kwargs):
+            if cfg.seed == 2:
+                raise KeyboardInterrupt
+            return original(cfg, **kwargs)
+
+        monkeypatch.setattr(topology, "run_scenario", interrupted_seed)
+        with pytest.raises(CampaignInterrupted) as info:
+            run_replicated(
+                wan_scenario(transfer_bytes=TINY),
+                replications=3,
+                runner=ParallelRunner(workers=1),
+            )
+        assert info.value.signum == signal.SIGINT
+        assert (info.value.completed, info.value.total) == (1, 3)
+
     def test_resume_skips_every_journaled_unit(self, tmp_path, monkeypatch):
         journal_path = tmp_path / "camp.journal"
         config = wan_scenario(transfer_bytes=TINY)
         with CampaignJournal(journal_path) as journal:
-            run_replicated(config, replications=2, journal=journal)
+            run_replicated(
+                config,
+                replications=2,
+                runner=ParallelRunner(workers=self.workers, journal=journal),
+            )
 
-        calls = []
+        log = SeedLog(tmp_path / "calls")
         original = topology.run_scenario
 
         def counting(cfg, **kwargs):
-            calls.append(cfg.seed)
+            log.add(cfg.seed)
             return original(cfg, **kwargs)
 
         monkeypatch.setattr(topology, "run_scenario", counting)
         with CampaignJournal(journal_path) as journal:
-            result = run_replicated(config, replications=4, journal=journal)
+            result = run_replicated(
+                config,
+                replications=4,
+                runner=ParallelRunner(workers=self.workers, journal=journal),
+            )
+        calls = log.seeds()
         assert calls == [3, 4]  # the superset's new seeds only
         assert result.report.from_journal == 2
         assert result.report.simulated == 2
@@ -295,7 +424,11 @@ class TestInterruptAndResume:
         monkeypatch.setattr(topology, "run_scenario", broken_seed)
         with CampaignJournal(journal_path) as journal:
             result = run_replicated(
-                config, replications=3, journal=journal, fail_fast=False
+                config,
+                replications=3,
+                runner=ParallelRunner(
+                    workers=self.workers, journal=journal, fail_fast=False
+                ),
             )
         assert result.partial
         text = journal_path.read_text()
@@ -303,6 +436,19 @@ class TestInterruptAndResume:
         # A failure record never satisfies a resume: the unit re-runs.
         monkeypatch.setattr(topology, "run_scenario", original)
         with CampaignJournal(journal_path) as journal:
-            healed = run_replicated(config, replications=3, journal=journal)
+            healed = run_replicated(
+                config,
+                replications=3,
+                runner=ParallelRunner(workers=self.workers, journal=journal),
+            )
         assert not healed.partial
         assert healed.report.from_journal == 2
+
+
+@needs_fork
+class TestInterruptAndResumePooled(TestInterruptAndResume):
+    workers = 2
+    # These interrupt from inside a unit, which reaches the campaign
+    # loop only when the unit runs in the loop's own process.
+    test_sigint_flushes_journal_and_exits_cleanly = None
+    test_keyboard_interrupt_inside_a_unit_interrupts_the_campaign = None

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import logging
+from pathlib import Path
 
 import pytest
 
+from repro import cli
+from repro.experiments import figures, runner
 from repro.experiments import parallel as parallel_mod
 from repro.experiments import topology
 from repro.experiments.cache import ResultCache, config_digest
@@ -38,8 +42,12 @@ def assert_identical_aggregates(a: ReplicatedResult, b: ReplicatedResult) -> Non
 class TestParallelMatchesSerial:
     def test_wan_bit_identical(self):
         config = wan_scenario(transfer_bytes=TINY)
-        serial = run_replicated(config, replications=4, base_seed=3, workers=1)
-        pooled = run_replicated(config, replications=4, base_seed=3, workers=4)
+        serial = run_replicated(
+            config, replications=4, base_seed=3, runner=ParallelRunner(workers=1)
+        )
+        pooled = run_replicated(
+            config, replications=4, base_seed=3, runner=ParallelRunner(workers=4)
+        )
         assert_identical_aggregates(serial, pooled)
         assert [r.config.seed for r in serial.results] == [
             r.config.seed for r in pooled.results
@@ -50,8 +58,12 @@ class TestParallelMatchesSerial:
 
     def test_lan_bit_identical(self):
         config = lan_scenario(transfer_bytes=LAN_TINY)
-        serial = run_replicated(config, replications=4, base_seed=7, workers=1)
-        pooled = run_replicated(config, replications=4, base_seed=7, workers=4)
+        serial = run_replicated(
+            config, replications=4, base_seed=7, runner=ParallelRunner(workers=1)
+        )
+        pooled = run_replicated(
+            config, replications=4, base_seed=7, runner=ParallelRunner(workers=4)
+        )
         assert_identical_aggregates(serial, pooled)
         assert [r.metrics for r in serial.results] == [
             r.metrics for r in pooled.results
@@ -59,15 +71,21 @@ class TestParallelMatchesSerial:
 
     def test_sweep_parallel_matches_serial(self):
         make = lambda size: wan_scenario(packet_size=size, transfer_bytes=TINY)
-        serial = sweep([256, 576], make, replications=2, workers=1)
-        pooled = sweep([256, 576], make, replications=2, workers=3)
+        serial = sweep(
+            [256, 576], make, replications=2, runner=ParallelRunner(workers=1)
+        )
+        pooled = sweep(
+            [256, 576], make, replications=2, runner=ParallelRunner(workers=3)
+        )
         assert list(serial) == list(pooled)
         for size in serial:
             assert_identical_aggregates(serial[size], pooled[size])
 
     def test_results_are_summaries(self):
         result = run_replicated(
-            wan_scenario(transfer_bytes=TINY), replications=2, workers=2
+            wan_scenario(transfer_bytes=TINY),
+            replications=2,
+            runner=ParallelRunner(workers=2),
         )
         assert all(isinstance(r, RunSummary) for r in result.results)
         assert all(r.trace is None for r in result.results)
@@ -77,7 +95,7 @@ class TestParallelMatchesSerial:
             wan_scenario(transfer_bytes=TINY), max_sim_time=0.01
         )
         with pytest.raises(RuntimeError, match="did not complete"):
-            run_replicated(config, replications=2, workers=2)
+            run_replicated(config, replications=2, runner=ParallelRunner(workers=2))
 
     def test_workers_one_never_builds_a_pool(self, monkeypatch):
         def boom(*args, **kwargs):  # pragma: no cover - guard
@@ -85,7 +103,9 @@ class TestParallelMatchesSerial:
 
         monkeypatch.setattr(parallel_mod, "_WorkerHandle", boom)
         result = run_replicated(
-            wan_scenario(transfer_bytes=TINY), replications=2, workers=1
+            wan_scenario(transfer_bytes=TINY),
+            replications=2,
+            runner=ParallelRunner(workers=1),
         )
         assert result.replications == 2
 
@@ -94,6 +114,28 @@ class TestParallelMatchesSerial:
         assert resolve_workers(1) == 1
         assert resolve_workers(5) == 5
         assert resolve_workers(0) >= 1
+
+
+class TestRunnerHoldsTheKnobs:
+    """Execution knobs are set on one ParallelRunner, never forwarded."""
+
+    KNOBS = {
+        "workers", "cache", "validate", "timeout", "retries", "fail_fast", "journal"
+    }
+
+    @pytest.mark.parametrize(
+        "module", [runner, figures, cli], ids=lambda m: m.__name__
+    )
+    def test_no_function_takes_an_engine_knob(self, module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        offenders = [
+            f"{node.name}({arg.arg})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            for arg in node.args.args + node.args.kwonlyargs
+            if arg.arg in self.KNOBS
+        ]
+        assert offenders == []
 
 
 class TestForkFallback:
@@ -115,7 +157,9 @@ class TestForkFallback:
             logging.WARNING, logger="repro.experiments.parallel"
         ):
             result = run_replicated(
-                wan_scenario(transfer_bytes=TINY), replications=2, workers=4
+                wan_scenario(transfer_bytes=TINY),
+                replications=2,
+                runner=ParallelRunner(workers=4),
             )
         assert result.replications == 2
         messages = [r.getMessage() for r in caplog.records]
@@ -140,9 +184,13 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         config = wan_scenario(transfer_bytes=TINY)
         calls = self._counting(monkeypatch)
-        first = run_replicated(config, replications=3, cache=cache)
+        first = run_replicated(
+            config, replications=3, runner=ParallelRunner(cache=cache)
+        )
         assert len(calls) == 3
-        second = run_replicated(config, replications=3, cache=cache)
+        second = run_replicated(
+            config, replications=3, runner=ParallelRunner(cache=cache)
+        )
         assert len(calls) == 3  # zero fresh run_scenario calls
         assert_identical_aggregates(first, second)
         assert cache.hits == 3 and cache.misses == 3
@@ -151,9 +199,13 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         make = lambda size: wan_scenario(packet_size=size, transfer_bytes=TINY)
         calls = self._counting(monkeypatch)
-        first = sweep([256, 576], make, replications=2, cache=cache)
+        first = sweep(
+            [256, 576], make, replications=2, runner=ParallelRunner(cache=cache)
+        )
         assert len(calls) == 4
-        second = sweep([256, 576], make, replications=2, cache=cache)
+        second = sweep(
+            [256, 576], make, replications=2, runner=ParallelRunner(cache=cache)
+        )
         assert len(calls) == 4  # zero fresh run_scenario calls
         for size in first:
             assert_identical_aggregates(first[size], second[size])
@@ -162,36 +214,51 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         config = wan_scenario(transfer_bytes=TINY)
         calls = self._counting(monkeypatch)
-        run_replicated(config, replications=2, base_seed=1, cache=cache)
-        run_replicated(config, replications=2, base_seed=100, cache=cache)
+        run_replicated(
+            config, replications=2, base_seed=1, runner=ParallelRunner(cache=cache)
+        )
+        run_replicated(
+            config,
+            replications=2,
+            base_seed=100,
+            runner=ParallelRunner(cache=cache),
+        )
         assert len(calls) == 4
 
     def test_different_config_misses(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         calls = self._counting(monkeypatch)
         run_replicated(
-            wan_scenario(transfer_bytes=TINY), replications=1, cache=cache
+            wan_scenario(transfer_bytes=TINY),
+            replications=1,
+            runner=ParallelRunner(cache=cache),
         )
         run_replicated(
             wan_scenario(transfer_bytes=TINY, packet_size=1024),
             replications=1,
-            cache=cache,
+            runner=ParallelRunner(cache=cache),
         )
         assert len(calls) == 2
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = wan_scenario(transfer_bytes=TINY)
-        result = run_replicated(config, replications=1, cache=cache)
+        result = run_replicated(
+            config, replications=1, runner=ParallelRunner(cache=cache)
+        )
         for entry in tmp_path.glob("*/*.pkl"):
             entry.write_bytes(b"garbage")
-        again = run_replicated(config, replications=1, cache=cache)
+        again = run_replicated(
+            config, replications=1, runner=ParallelRunner(cache=cache)
+        )
         assert_identical_aggregates(result, again)
 
     def test_clear_removes_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_replicated(
-            wan_scenario(transfer_bytes=TINY), replications=2, cache=cache
+            wan_scenario(transfer_bytes=TINY),
+            replications=2,
+            runner=ParallelRunner(cache=cache),
         )
         assert cache.clear() == 2
         assert cache.clear() == 0
@@ -217,11 +284,15 @@ class TestResultCache:
 
         monkeypatch.setattr(topology, "run_scenario", flaky)
         with pytest.raises(OSError, match="mid-batch"):
-            run_replicated(config, replications=4, cache=cache)
+            run_replicated(
+                config, replications=4, runner=ParallelRunner(cache=cache)
+            )
         assert len(list(tmp_path.glob("*/*.pkl"))) == 2
         # The rerun reuses the two cached seeds and simulates the rest.
         calls.clear()
-        result = run_replicated(config, replications=4, cache=cache)
+        result = run_replicated(
+            config, replications=4, runner=ParallelRunner(cache=cache)
+        )
         assert result.replications == 4
         assert len(calls) == 2
 

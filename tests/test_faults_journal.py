@@ -24,7 +24,7 @@ from repro.experiments.faults import (
     merge_reports,
 )
 from repro.experiments.journal import CampaignJournal
-from repro.experiments.parallel import _execute_unit
+from repro.experiments.parallel import ParallelRunner, _execute_unit
 from repro.experiments.runner import run_replicated
 
 TINY = 5 * 1024
@@ -235,6 +235,38 @@ class TestCampaignJournal:
         assert any("different code version" in r.message for r in caplog.records)
         resumed.close()
 
+    def test_units_recorded_after_a_code_change_are_not_stale(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        path = tmp_path / "camp.journal"
+        monkeypatch.setattr(journal_mod, "code_version_token", lambda: "code-a")
+        with CampaignJournal(path) as journal:
+            journal.record("k-old", self._summary())
+        monkeypatch.setattr(journal_mod, "code_version_token", lambda: "code-b")
+        with CampaignJournal(path) as journal:
+            journal.record("k-new", self._summary(seed=2))
+        with caplog.at_level("WARNING", logger="repro.experiments.journal"):
+            resumed = CampaignJournal(path)
+        assert resumed.stale_entries == 1
+        assert resumed.get("k-old") is None
+        assert resumed.get("k-new") is not None
+        warnings = [r.getMessage() for r in caplog.records]
+        assert any("its 1 completed unit(s)" in m for m in warnings)
+        resumed.close()
+
+    def test_units_appended_after_a_foreign_format_are_loaded(self, tmp_path):
+        path = tmp_path / "camp.journal"
+        path.write_text(
+            json.dumps({"kind": "header", "format": 999, "code": "x"}) + "\n"
+            + json.dumps({"kind": "unit", "key": "k", "summary": "AA=="}) + "\n"
+        )
+        with CampaignJournal(path) as journal:
+            journal.record("k-new", self._summary())
+        with CampaignJournal(path) as resumed:
+            assert resumed.get("k-new") is not None
+            assert len(resumed) == 1
+            assert resumed.stale_entries == 1
+
     def test_unknown_format_ignores_entries(self, tmp_path, caplog):
         path = tmp_path / "camp.journal"
         path.write_text(
@@ -255,7 +287,9 @@ class TestWriteBackTimings:
         config = wan_scenario(transfer_bytes=TINY, record_trace=False)
         with CampaignJournal(tmp_path / "camp.journal") as journal:
             result = run_replicated(
-                config, replications=2, cache=cache, journal=journal
+                config,
+                replications=2,
+                runner=ParallelRunner(cache=cache, journal=journal),
             )
         report = result.report
         assert report.cache_write_seconds > 0.0

@@ -71,9 +71,9 @@ class TestSerialParallelOracle:
         real = oracles.run_replicated
         calls = {"n": 0}
 
-        def skewed(config, replications, base_seed, workers):
+        def skewed(config, replications, base_seed, runner):
             calls["n"] += 1
-            result = real(config, replications, base_seed, workers=workers)
+            result = real(config, replications, base_seed, runner=runner)
             if calls["n"] == 2:  # the "parallel" leg
                 result = replace(
                     result, throughput_bps_mean=result.throughput_bps_mean + 1.0
