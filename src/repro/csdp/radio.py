@@ -35,6 +35,9 @@ class RadioStats:
     frames_accepted: int = 0
     attempts: int = 0
     attempt_failures: int = 0
+    #: Attempts whose frame survived the channel and reached the
+    #: receiver, whether or not its link ACK came back (so a frame
+    #: re-sent after a lost ACK counts each time it arrives).
     frames_delivered: int = 0
     frames_discarded: int = 0
     siblings_dropped: int = 0
@@ -193,9 +196,9 @@ class DownlinkRadio:
         if frame_ok:
             # Receiver has it regardless of whether the ACK survived;
             # the reassembler's duplicate guard absorbs re-deliveries.
+            self.stats.frames_delivered += 1
             datagram = self.reassembler.add(queued.fragment)
             if datagram is not None:
-                self.stats.frames_delivered += 1
                 self.deliver(datagram)
 
         if ack_ok:

@@ -20,18 +20,22 @@ timer, and neither may mask the other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.core.ebsn import EbsnGenerator, install_ebsn_handler
-from repro.engine import RandomStreams, Simulator
-from repro.linklayer import LinkLayerMode, WirelessPort
-from repro.metrics import ConnectionMetrics, compute_metrics
+from repro.engine import Simulator
+from repro.metrics import ConnectionMetrics
 from repro.net.link import WiredLink
 from repro.net.node import Node
 from repro.net.packet import Datagram, TcpSegment
-from repro.net.wireless import WirelessLink, WirelessLinkConfig
-from repro.experiments.topology import ChannelConfig, ScenarioConfig, Scheme
-from repro.tcp import TahoeSender, TcpConfig, TcpSink
+from repro.net.wireless import WirelessLinkConfig
+from repro.experiments.topology import (
+    ChannelConfig,
+    Scenario,
+    ScenarioConfig,
+    ScenarioResult,
+    Scheme,
+)
+from repro.tcp import TcpConfig
 
 
 class CbrSource:
@@ -135,116 +139,98 @@ class CongestedScenarioResult:
     cross_packets_delivered: int
 
 
+class CongestedScenario(Scenario):
+    """The Fig. 2 path with a congested, routed wired segment.
+
+    Everything but the wired segment — the wireless hop, its ARQ and
+    EBSN feedback, the TCP endpoints — is :class:`Scenario`'s own;
+    only :meth:`_build_wired` is replaced, and the cross traffic is
+    added around it.
+    """
+
+    def __init__(self, config: CongestedScenarioConfig) -> None:
+        self.congestion = config
+        super().__init__(
+            ScenarioConfig(
+                scheme=config.scheme,
+                tcp=config.tcp,
+                channel=config.channel,
+                wireless=config.wireless,
+                seed=config.seed,
+                record_trace=False,
+                max_sim_time=config.max_sim_time,
+            )
+        )
+        self.sender.ecn_enabled = config.ecn
+        self.cross_sink = CbrSink()
+        self.bs.attach_agent(self.cross_sink)
+        self.cross = CbrSource(
+            self.sim,
+            self.xs,
+            "BS",
+            rate_bps=config.cross_load * config.bottleneck_bps,
+            packet_size=config.tcp.packet_size,
+        )
+
+    def _build_wired(self) -> Tuple[WiredLink, ...]:
+        """FH and XS → R → BS, with the bottleneck on R → BS."""
+        config = self.congestion
+        sim, fh, bs = self.sim, self.fh, self.bs
+        self.xs, self.router = xs, router = Node("XS"), Node("R")
+
+        # Access links into the router (never the bottleneck).
+        fh_r = WiredLink(sim, config.access_bps, config.wired_prop_delay, name="FH->R")
+        xs_r = WiredLink(sim, config.access_bps, config.wired_prop_delay, name="XS->R")
+        # The bottleneck, with a bounded queue and optional ECN marking.
+        self.bottleneck = r_bs = WiredLink(
+            sim,
+            config.bottleneck_bps,
+            config.wired_prop_delay,
+            queue_capacity=config.bottleneck_queue_packets,
+            ecn_threshold=config.ecn_threshold_packets if config.ecn else None,
+            name="R->BS",
+        )
+        # Reverse path (ACKs, EBSNs) — uncongested.
+        bs_r = WiredLink(sim, config.bottleneck_bps, config.wired_prop_delay, name="BS->R")
+        r_fh = WiredLink(sim, config.access_bps, config.wired_prop_delay, name="R->FH")
+
+        fh_r.connect(router.receive)
+        xs_r.connect(router.receive)
+        r_bs.connect(bs.receive)
+        bs_r.connect(router.receive)
+        r_fh.connect(fh.receive)
+
+        fh.add_interface("wired", fh_r.send, "MH", "BS", "R")
+        xs.add_interface("wired", xs_r.send, "BS")
+        router.add_interface("down", r_bs.send, "MH", "BS")
+        router.add_interface("up", r_fh.send, "FH")
+        bs.add_interface("up", bs_r.send, "FH")
+        return fh_r, xs_r, r_bs, bs_r, r_fh
+
+    def run(self, wall_timeout: Optional[float] = None) -> ScenarioResult:
+        """Start the cross traffic, then run the transfer.
+
+        The cross traffic is scheduled before the sender starts: events
+        at equal times fire in scheduling order, so this order is part
+        of the study's results.
+        """
+        self.cross.start()
+        return super().run(wall_timeout=wall_timeout)
+
+
 def run_congested_scenario(config: CongestedScenarioConfig) -> CongestedScenarioResult:
     """Build and run the FH/XS → R → BS → MH topology."""
-    sim = Simulator()
-    streams = RandomStreams(config.seed)
-    channel = config.channel.build(streams)
-
-    fh, xs, router, bs, mh = (Node(n) for n in ("FH", "XS", "R", "BS", "MH"))
-
-    # Access links into the router (never the bottleneck).
-    fh_r = WiredLink(sim, config.access_bps, config.wired_prop_delay, name="FH->R")
-    xs_r = WiredLink(sim, config.access_bps, config.wired_prop_delay, name="XS->R")
-    # The bottleneck, with a bounded queue and optional ECN marking.
-    r_bs = WiredLink(
-        sim,
-        config.bottleneck_bps,
-        config.wired_prop_delay,
-        queue_capacity=config.bottleneck_queue_packets,
-        ecn_threshold=config.ecn_threshold_packets if config.ecn else None,
-        name="R->BS",
-    )
-    # Reverse path (ACKs, EBSNs) — uncongested.
-    bs_r = WiredLink(sim, config.bottleneck_bps, config.wired_prop_delay, name="BS->R")
-    r_fh = WiredLink(sim, config.access_bps, config.wired_prop_delay, name="R->FH")
-
-    fh_r.connect(router.receive)
-    xs_r.connect(router.receive)
-    r_bs.connect(bs.receive)
-    bs_r.connect(router.receive)
-    r_fh.connect(fh.receive)
-
-    fh.add_interface("wired", fh_r.send, "MH", "BS", "R")
-    xs.add_interface("wired", xs_r.send, "BS")
-    router.add_interface("down", r_bs.send, "MH", "BS")
-    router.add_interface("up", r_fh.send, "FH")
-    bs.add_interface("up", bs_r.send, "FH")
-
-    # Wireless hop (same machinery as the main scenarios).
-    downlink = WirelessLink(sim, config.wireless, channel, name="BS->MH")
-    uplink = WirelessLink(sim, config.wireless, channel, name="MH->BS")
-    base = ScenarioConfig(
-        scheme=config.scheme, wireless=config.wireless, tcp=config.tcp
-    )
-    arq = base.derived_arq()
-    mode = LinkLayerMode.PLAIN if config.scheme is Scheme.BASIC else LinkLayerMode.ARQ
-
-    ebsn_generator: Optional[EbsnGenerator] = None
-    feedback = None
-    if config.scheme is Scheme.EBSN:
-        ebsn_generator = EbsnGenerator(bs)
-        feedback = ebsn_generator
-
-    cross_sink = CbrSink()
-
-    def bs_deliver(datagram: Datagram) -> None:
-        bs.receive(datagram)
-
-    bs_port = WirelessPort(
-        sim,
-        "BS.wl",
-        out_link=downlink,
-        deliver=bs_deliver,
-        mode=mode,
-        arq_config=arq,
-        rng=streams.stream("bs-arq"),
-        feedback=feedback,
-    )
-    mh_port = WirelessPort(
-        sim,
-        "MH.wl",
-        out_link=uplink,
-        deliver=mh.receive,
-        mode=mode,
-        arq_config=arq,
-        rng=streams.stream("mh-arq"),
-    )
-    downlink.connect(mh_port.receive_frame)
-    uplink.connect(bs_port.receive_frame)
-    bs.add_interface("wireless", bs_port.send_datagram, "MH")
-    mh.add_interface("wireless", mh_port.send_datagram, "FH", "BS")
-    bs.attach_agent(cross_sink)
-
-    sender = TahoeSender(
-        sim, fh, "MH", config=config.tcp, on_complete=sim.stop
-    )
-    sender.ecn_enabled = config.ecn
-    fh.attach_agent(sender)
-    sink = TcpSink(sim, mh, "FH", header_bytes=config.tcp.header_bytes)
-    mh.attach_agent(sink)
-    if config.scheme is Scheme.EBSN:
-        install_ebsn_handler(sender)
-
-    cross = CbrSource(
-        sim,
-        xs,
-        "BS",
-        rate_bps=config.cross_load * config.bottleneck_bps,
-        packet_size=config.tcp.packet_size,
-    )
-    cross.start()
-    sender.start()
-    sim.run(until=config.max_sim_time)
-
+    scenario = CongestedScenario(config)
+    result = scenario.run()
+    sender = scenario.sender
     return CongestedScenarioResult(
-        metrics=compute_metrics(sender, sink),
-        completed=sender.completed,
-        bottleneck_drops=r_bs.queue.stats.dropped,
-        ecn_marks=r_bs.ecn_marks,
+        metrics=result.metrics,
+        completed=result.completed,
+        bottleneck_drops=scenario.bottleneck.queue.stats.dropped,
+        ecn_marks=scenario.bottleneck.ecn_marks,
         ecn_responses=sender.stats.ecn_responses,
         ebsn_received=sender.stats.ebsn_received,
         timeouts=sender.stats.timeouts,
         fast_retransmits=sender.stats.fast_retransmits,
-        cross_packets_delivered=cross_sink.packets_received,
+        cross_packets_delivered=scenario.cross_sink.packets_received,
     )

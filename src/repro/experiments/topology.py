@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.channel import (
     BernoulliLossChannel,
@@ -196,13 +196,7 @@ class Scenario:
         self.bs = Node("BS")
         self.mh = Node("MH")
 
-        # Wired hop (duplex = two unidirectional links).
-        self.wired_down = WiredLink(
-            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="FH->BS"
-        )
-        self.wired_up = WiredLink(
-            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="BS->FH"
-        )
+        self.wired_links = self._build_wired()
 
         # Wireless hop; both directions share the fading channel.
         uplink_config = config.wireless_up or config.wireless
@@ -260,13 +254,8 @@ class Scenario:
         self.downlink.connect(self.mh_port.receive_frame)
         self.uplink.connect(self.bs_port.receive_frame)
 
-        # Routing.
-        self.fh.add_interface("wired", self.wired_down.send, "MH", "BS")
-        self.bs.add_interface("wired", self.wired_up.send, "FH")
         self.bs.add_interface("wireless", self._bs_send_wireless, "MH")
         self.mh.add_interface("wireless", self.mh_port.send_datagram, "FH", "BS")
-        self.wired_down.connect(self._bs_wired_arrival)
-        self.wired_up.connect(self.fh.receive)
 
         # Transport.  For a split connection the fixed host's sender
         # finishes early (the relay ACKs on arrival at the BS), so the
@@ -336,6 +325,28 @@ class Scenario:
             )
             self.bs.attach_agent(self.split_relay)
 
+    def _build_wired(self) -> Tuple[WiredLink, ...]:
+        """Build, connect and route the wired segment between FH and BS.
+
+        The paper's segment is one duplex hop (two unidirectional
+        links).  Subclasses override this to put another wired network
+        between the two hosts; the wireless hop, the scheme and the TCP
+        endpoints stay as :class:`Scenario` builds them.  Returns every
+        link built, for :meth:`observe`.
+        """
+        config = self.config
+        down = WiredLink(
+            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="FH->BS"
+        )
+        up = WiredLink(
+            self.sim, config.wired_bandwidth_bps, config.wired_prop_delay, name="BS->FH"
+        )
+        down.connect(self._bs_wired_arrival)
+        up.connect(self.fh.receive)
+        self.fh.add_interface("wired", down.send, "MH", "BS")
+        self.bs.add_interface("wired", up.send, "FH")
+        return down, up
+
     # -- BS plumbing -----------------------------------------------------
 
     def _bs_send_wireless(self, datagram: Datagram) -> None:
@@ -372,8 +383,8 @@ class Scenario:
 
     def observe(self, observer) -> None:
         """Set every component's observation hook; call before :meth:`run`."""
-        for component in (self.sim, self.wired_down, self.wired_up, self.downlink,
-                          self.uplink, self.bs_port, self.mh_port, self.sender, self.sink):
+        for component in (self.sim, *self.wired_links, self.downlink, self.uplink,
+                          self.bs_port, self.mh_port, self.sender, self.sink):
             component.observer = observer
 
     # -- running ----------------------------------------------------------

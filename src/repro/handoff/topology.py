@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.channel import markov_channel
 from repro.engine import RandomStreams, Simulator
+from repro.linklayer import WirelessPort
 from repro.metrics import ConnectionMetrics, compute_metrics
 from repro.net.ip import Fragmenter, Reassembler
 from repro.net.link import WiredLink
@@ -67,21 +68,22 @@ class HandoffConfig:
             raise ValueError("disconnect_time must be shorter than the interval")
 
 
-class CellPort:
-    """A base station's simple (fire-and-forget) wireless port, with a
-    holdable datagram queue so handoffs can drop or forward it."""
+class CellPort(WirelessPort):
+    """A base station's plain (fire-and-forget) wireless port, with a
+    holdable datagram queue so handoffs can drop or forward it.
+
+    Only the outgoing path differs from :class:`WirelessPort`; the
+    uplink from the mobile host is received and reassembled as usual.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         name: str,
         link: WirelessLink,
-        mtu_bytes: int,
+        deliver: Callable[[Datagram], None],
     ) -> None:
-        self._sim = sim
-        self.name = name
-        self.link = link
-        self.fragmenter = Fragmenter(mtu_bytes)
+        super().__init__(sim, name, link, deliver)
         self.queue: DropTailQueue[Datagram] = DropTailQueue(name=f"{name}.q")
         self.attached = False
         self._sending = False
@@ -105,8 +107,8 @@ class CellPort:
         self._sending = True
         fragments = self.fragmenter.fragment(datagram)
         for fragment in fragments[:-1]:
-            self.link.send(data_frame(fragment))
-        self.link.send(data_frame(fragments[-1]), on_tx_complete=self._datagram_done)
+            self._link_send(data_frame(fragment))
+        self._link_send(data_frame(fragments[-1]), self._datagram_done)
 
     def _datagram_done(self, frame) -> None:
         self._sending = False
@@ -169,7 +171,6 @@ def run_handoff_scenario(config: HandoffConfig) -> HandoffResult:
     r_to_bs: Dict[str, WiredLink] = {}
     mh_uplinks: Dict[str, WirelessLink] = {}
     mh_reassembler = Reassembler(sim, timeout=30.0, name="mh")
-    bs_reassemblers: Dict[str, Reassembler] = {}
 
     mh_attached_to: Dict[str, Optional[str]] = {"cell": None}
 
@@ -190,18 +191,10 @@ def run_handoff_scenario(config: HandoffConfig) -> HandoffResult:
         down = WirelessLink(sim, config.wireless, channel, name=f"{name}->MH")
         up = WirelessLink(sim, config.wireless, channel, name=f"MH->{name}")
         down.connect(lambda frame, cell=name: mh_receive_frame(frame, cell))
-        bs_reasm = Reassembler(sim, timeout=30.0, name=f"{name}.up")
-        bs_reassemblers[name] = bs_reasm
-
-        def bs_uplink_frame(frame, node=bs_nodes[name], reasm=bs_reasm):
-            datagram = reasm.add(frame.fragment)
-            if datagram is not None:
-                node.receive(datagram)
-
-        up.connect(bs_uplink_frame)
         mh_uplinks[name] = up
 
-        ports[name] = CellPort(sim, name, down, config.wireless.mtu_bytes)
+        ports[name] = CellPort(sim, name, down, bs_nodes[name].receive)
+        up.connect(ports[name].receive_frame)
         bs_nodes[name].add_interface("radio", ports[name].send_datagram, "MH")
 
         spur_down = WiredLink(

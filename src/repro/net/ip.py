@@ -18,11 +18,12 @@ from repro.net.packet import Address, Datagram, Fragment
 
 
 class RoutingTable:
-    """Static next-hop routing: destination address → forwarding callable.
+    """Next-hop routing: destination address → forwarding callable.
 
-    The paper's topology is a three-node chain, so routes are installed
-    by the topology builder once and never change (no handoffs in this
-    study).
+    Topology builders install the routes.  In the paper's three-node
+    chain they never change; a forwarding callable may still decide
+    per datagram, as the handoff study's router does to reach whichever
+    cell currently serves the mobile host.
     """
 
     def __init__(self, node_name: str) -> None:

@@ -137,6 +137,16 @@ class TestStudy:
         b = self.run("csdp", seed=9)
         assert a.completion_times == b.completion_times
 
+    def test_radio_counts_every_delivered_frame(self):
+        """On a near-clean channel every attempt reaches the mobile
+        host, so frames delivered, attempts and frames accepted agree
+        (a count of reassembled datagrams would be far smaller)."""
+        radio = self.run(
+            "rr", n_connections=2, transfer_bytes=4 * 1024, good_period_mean=1e6
+        ).radio
+        assert radio.attempt_failures == 0
+        assert radio.frames_delivered == radio.attempts == radio.frames_accepted
+
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
             run_csdp_study(CsdpStudyConfig(scheduler="lifo"))

@@ -19,7 +19,7 @@ class TestConfig:
 
 
 class TestCellPort:
-    def make_port(self, sim):
+    def make_port(self, sim, deliver=lambda datagram: None):
         from repro.channel import deterministic_channel
         from repro.net.wireless import WirelessLink, WirelessLinkConfig
 
@@ -28,7 +28,7 @@ class TestCellPort:
         )
         received = []
         link.connect(received.append)
-        return CellPort(sim, "BS1", link, 128), received
+        return CellPort(sim, "BS1", link, deliver), received
 
     def datagram(self, size=576):
         from repro.net.packet import Datagram, TcpSegment
@@ -59,6 +59,19 @@ class TestCellPort:
         assert len(port.queue) == 1
         sim.run(until=10.0)
         assert len(received) == 10
+
+    def test_uplink_fragments_reassemble_to_one_datagram(self, sim):
+        from repro.net.ip import Fragmenter
+        from repro.net.packet import data_frame
+
+        delivered = []
+        port, _ = self.make_port(sim, delivered.append)
+        datagram = self.datagram()
+        fragments = Fragmenter(128).fragment(datagram)
+        assert len(fragments) == 5
+        for fragment in fragments:
+            port.receive_frame(data_frame(fragment))
+        assert delivered == [datagram]
 
     def test_take_queue_empties(self, sim):
         port, _ = self.make_port(sim)

@@ -23,7 +23,9 @@ from repro.experiments.config import (
     trace_example_scenario,
     wan_scenario,
 )
+from repro.experiments.congestion import CongestedScenario, CongestedScenarioConfig
 from repro.experiments.topology import Scenario, Scheme, run_scenario
+from repro.tcp import TcpConfig
 from repro.validate.engine import (
     InvariantViolationError,
     Validator,
@@ -119,12 +121,33 @@ class TestObserverPurity:
         )
 
 
+def congested_scenario():
+    """EBSN behind an ECN-marking bottleneck: the routed wired segment."""
+    return CongestedScenario(
+        CongestedScenarioConfig(
+            scheme=Scheme.EBSN,
+            ecn=True,
+            cross_load=0.9,
+            tcp=TcpConfig(transfer_bytes=20 * 1024),
+        )
+    )
+
+
+#: Scenario builders by name: the goldens, plus the congestion study's
+#: five-link wired segment.
+OBSERVED_SCENARIOS = {
+    **{name: lambda name=name: Scenario(GOLDEN_SCENARIOS[name]())
+       for name in GOLDEN_SCENARIOS},
+    "congestion_ebsn_ecn": congested_scenario,
+}
+
+
 class TestObservationCounts:
     """Every checker provably observes the run it claims to check."""
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(OBSERVED_SCENARIOS))
     def test_every_checker_and_the_log_observe_events(self, name):
-        scenario = Scenario(GOLDEN_SCENARIOS[name]())
+        scenario = OBSERVED_SCENARIOS[name]()
         validator = Validator(default_checkers(scenario))
         log = EventLog(scenario.sim)
         validator.attach(scenario, log)
@@ -133,6 +156,9 @@ class TestObservationCounts:
         assert len(seen) == 6 and all(count > 0 for count in seen.values()), seen
         assert len(log) > 0
         assert seen["timer-sanity"] == scenario.sim.events_executed
+        if name == "congestion_ebsn_ecn":
+            places = {event.place for event in log.events}
+            assert {"FH->R", "XS->R", "R->BS", "BS->R", "R->FH"} <= places
 
 
 class TestFaultInjection:
