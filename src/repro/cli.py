@@ -21,18 +21,21 @@ command with exit code 3 and prints the replay-bundle path.
 The multi-run commands (``sweep``, ``figure``) are fault-tolerant:
 ``--timeout`` bounds each unit's wall-clock time, ``--retries`` bounds
 how often a timed-out or crashed unit is re-run, ``--resume JOURNAL``
-checkpoints completed units to a journal file (and skips them when
-re-invoked after a crash or Ctrl-C), and ``--fail-fast`` aborts on the
-first quarantined unit instead of degrading to partial aggregates.
-Partial aggregates print an explicit completeness report and exit 1;
-an aborted campaign exits 4; SIGINT/SIGTERM exits 130 after flushing
-the journal.
+checkpoints completed units to a journal directory (and skips them
+when re-invoked after a crash or Ctrl-C), and ``--fail-fast`` aborts
+on the first quarantined unit instead of degrading to partial
+aggregates.  Partial aggregates print an explicit completeness report
+and exit 1; an aborted campaign exits 4; SIGINT/SIGTERM exits 130
+after flushing the journal; a ``--resume`` path that exists but is not
+a directory exits 2 before any unit runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.csdp import CsdpStudyConfig, run_csdp_study
@@ -115,8 +118,8 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
         "--resume",
         default=None,
         metavar="JOURNAL",
-        help="checkpoint journal path: completed units are appended as "
-        "they finish and skipped on re-invocation (created if missing)",
+        help="checkpoint journal directory: completed units are recorded "
+        "as they finish and skipped on re-invocation (created if missing)",
     )
     parser.add_argument(
         "--fail-fast",
@@ -129,9 +132,13 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
 def _run_campaign_command(args: argparse.Namespace, body) -> int:
     """Run ``body(args, runner)`` on the runner the engine flags describe.
 
-    sweep/figure execute every unit on this one runner; its journal
-    (``--resume``) is closed once the command is done.
+    sweep/figure execute every unit on this one runner.  A ``--resume``
+    path that exists but is not a directory exits 2 before any unit runs.
     """
+    resume = args.resume
+    if resume and os.path.exists(resume) and not os.path.isdir(resume):
+        print(f"--resume {resume} is not a directory (a journal is)", file=sys.stderr)
+        return 2
     runner = ParallelRunner(
         workers=args.workers,
         cache=None if args.no_cache else ResultCache(),
@@ -139,13 +146,9 @@ def _run_campaign_command(args: argparse.Namespace, body) -> int:
         timeout=args.timeout,
         retry=None if args.retries is None else RetryPolicy(max_retries=args.retries),
         fail_fast=args.fail_fast,
-        journal=CampaignJournal(args.resume) if args.resume else None,
+        journal=CampaignJournal(resume) if resume else None,
     )
-    try:
-        return body(args, runner)
-    finally:
-        if runner.journal is not None:
-            runner.journal.close()
+    return body(args, runner)
 
 
 def _finish_campaign(report: CompletenessReport) -> int:
@@ -168,29 +171,33 @@ def _single_run_validate(args: argparse.Namespace) -> Optional[bool]:
     return True if args.validate else None
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _run_config(args: argparse.Namespace):
+    """The one-transfer config ``run`` and ``profile`` share."""
     scheme = SCHEMES[args.scheme]
     if args.lan:
-        config = lan_scenario(
+        return lan_scenario(
             scheme=scheme,
             bad_period_mean=args.bad_period,
             transfer_bytes=args.transfer_kb * 1024,
             seed=args.seed,
         )
-    else:
-        config = wan_scenario(
-            scheme=scheme,
-            packet_size=args.packet_size,
-            bad_period_mean=args.bad_period,
-            transfer_bytes=args.transfer_kb * 1024,
-            seed=args.seed,
-        )
+    return wan_scenario(
+        scheme=scheme,
+        packet_size=args.packet_size,
+        bad_period_mean=args.bad_period,
+        transfer_bytes=args.transfer_kb * 1024,
+        seed=args.seed,
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = _run_config(args)
     result = run_scenario(config, validate=_single_run_validate(args))
     m = result.metrics
     unit = "Mbps" if args.lan else "kbps"
     tput = m.throughput_bps / (1e6 if args.lan else 1e3)
     tput_th = result.tput_th_bps / (1e6 if args.lan else 1e3)
-    print(f"scheme            : {scheme.value}")
+    print(f"scheme            : {config.scheme.value}")
     print(f"completed         : {result.completed}")
     print(f"duration          : {m.duration:.2f} s")
     print(f"throughput        : {tput:.3f} {unit}  (theoretical max {tput_th:.3f})")
@@ -567,22 +574,7 @@ _REPORT_ORDER = [
 
 
 def _profile_config(args: argparse.Namespace):
-    scheme = SCHEMES[args.scheme]
-    if args.lan:
-        return lan_scenario(
-            scheme=scheme,
-            bad_period_mean=args.bad_period,
-            transfer_bytes=args.transfer_kb * 1024,
-            seed=args.seed,
-        )
-    return wan_scenario(
-        scheme=scheme,
-        packet_size=args.packet_size,
-        bad_period_mean=args.bad_period,
-        transfer_bytes=args.transfer_kb * 1024,
-        seed=args.seed,
-        record_trace=False,
-    )
+    return replace(_run_config(args), record_trace=False)
 
 
 def _print_perf_summary(scenario) -> None:

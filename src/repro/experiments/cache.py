@@ -1,17 +1,20 @@
 """Content-addressed on-disk cache for simulation results.
 
 A cached entry is keyed by a stable digest of the full
-:class:`~repro.experiments.topology.ScenarioConfig` (every field,
-recursively canonicalized), the seed baked into that config, and a
+:class:`~repro.experiments.topology.ScenarioConfig` (in the reversible
+:func:`encode_value` form), the seed baked into that config, and a
 *code-version token* — a hash over the ``repro`` package's source
 files.  Any edit to the simulator therefore invalidates every cached
 point automatically; there is no manual versioning to forget.
 
 The store layout is ``<root>/<aa>/<digest>.pkl`` (two-level fan-out so
-directories stay small).  Writes are atomic (tmp file + ``os.replace``)
-so a crashed or parallel run can never leave a torn entry.  The cache
-stores only the lightweight :class:`~repro.experiments.parallel.RunSummary`
-payload, never live simulation objects.
+directories stay small).  Writes are atomic and durable (fsynced tmp
+file, ``os.replace``, fsynced directory), so a crashed or parallel run
+never leaves a torn entry.  An entry holds the payload format, the
+code-version token and one lightweight
+:class:`~repro.experiments.parallel.RunSummary`.  The campaign journal
+(:class:`~repro.experiments.journal.CampaignJournal`) is this store
+rooted at the ``--resume`` directory.
 
 Default location: ``$REPRO_CACHE_DIR`` if set, else
 ``~/.cache/repro-tcp-wireless``.  ``repro sweep``/``repro figure``
@@ -24,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import importlib
 import json
 import os
 import pickle
@@ -80,34 +84,60 @@ def code_version_token(package_root: Optional[Path] = None) -> str:
     return _code_version_token
 
 
-def _canonical(value: Any) -> Any:
-    """Reduce ``value`` to a JSON-serializable canonical form.
+def _qualify(cls: type) -> str:
+    return f"{cls.__module__}:{cls.__qualname__}"
 
-    Dataclasses become ``{class-name: {field: ...}}`` mappings, enums
-    their values, classes their qualified names; floats go through
-    ``repr`` so the digest sees full precision, not str() rounding.
+
+def _resolve(path: str) -> Any:
+    module_name, _, qualname = path.partition(":")
+    obj: Any = importlib.import_module(module_name)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def encode_value(value: Any) -> Any:
+    """Encode ``value`` to a JSON-serializable, decodable form.
+
+    Dataclasses, enums and classes carry their import path; JSON
+    writes floats at full precision.  Cache keys and bundles use it.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
+        return {
+            "__dataclass__": _qualify(type(value)),
+            "fields": {
+                f.name: encode_value(getattr(value, f.name))
+                for f in dataclasses.fields(value)
+            },
         }
-        return {f"{type(value).__module__}.{type(value).__qualname__}": fields}
     if isinstance(value, enum.Enum):
-        return f"{type(value).__qualname__}.{value.name}"
+        return {"__enum__": _qualify(type(value)), "name": value.name}
     if isinstance(value, type):
-        return f"{value.__module__}.{value.__qualname__}"
-    if isinstance(value, float):
-        return repr(value)
+        return {"__class__": _qualify(value)}
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
+        return [encode_value(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if value is None or isinstance(value, (bool, int, str)):
+        return {k: encode_value(v) for k, v in value.items()}
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    raise TypeError(
-        f"cannot canonicalize {type(value).__qualname__} for cache keying"
-    )
+    raise TypeError(f"cannot encode {type(value).__qualname__}")
+
+
+def decode_value(value: Any) -> Any:
+    """Inverse of :func:`encode_value`."""
+    if isinstance(value, dict):
+        if "__dataclass__" in value:
+            cls = _resolve(value["__dataclass__"])
+            fields = {k: decode_value(v) for k, v in value["fields"].items()}
+            return cls(**fields)
+        if "__enum__" in value:
+            return getattr(_resolve(value["__enum__"]), value["name"])
+        if "__class__" in value:
+            return _resolve(value["__class__"])
+        return {k: decode_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [decode_value(v) for v in value]
+    return value
 
 
 def config_digest(config: Any, code_token: Optional[str] = None) -> str:
@@ -116,7 +146,7 @@ def config_digest(config: Any, code_token: Optional[str] = None) -> str:
         {
             "format": CACHE_FORMAT,
             "code": code_token if code_token is not None else code_version_token(),
-            "config": _canonical(config),
+            "config": encode_value(config),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -154,8 +184,6 @@ class ResultCache:
         never accumulates droppings.
         """
         removed = 0
-        if not self.root.is_dir():
-            return 0
         cutoff = time.time() - max_age
         for orphan in self.root.glob("*/*.tmp"):
             try:
@@ -175,33 +203,50 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
-    def get(self, key: str) -> Optional[Any]:
-        """Load a cached summary, or ``None`` on miss/corruption."""
-        path = self._path(key)
+    def _load(self, path: Path) -> Optional[dict]:
+        """The entry stored at ``path``, or ``None`` if it cannot be read.
+
+        A corrupt entry can make pickle raise almost anything
+        (``UnicodeDecodeError``, ``ModuleNotFoundError``, ...).
+        """
         try:
             with path.open("rb") as fh:
                 entry = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            self.misses += 1
+        except Exception:
             return None
-        if not isinstance(entry, dict) or entry.get("format") != CACHE_FORMAT:
+        return entry if isinstance(entry, dict) else None
+
+    def _current(self, entry: Optional[dict]) -> bool:
+        """Whether ``entry`` was written in this format by this code."""
+        return (
+            entry is not None
+            and entry.get("format") == CACHE_FORMAT
+            and entry.get("code") == self._code_token
+        )
+
+    def get(self, key: str) -> Optional[Any]:
+        """Load a cached summary, or ``None`` on miss/corruption."""
+        entry = self._load(self._path(key))
+        if not self._current(entry):
             self.misses += 1
             return None
         self.hits += 1
         return entry["summary"]
 
     def put(self, key: str, summary: Any) -> None:
-        """Atomically persist one summary under ``key``."""
+        """Atomically and durably persist one summary under ``key``."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(
-            {"format": CACHE_FORMAT, "summary": summary},
+            {"format": CACHE_FORMAT, "code": self._code_token, "summary": summary},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -209,12 +254,16 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        # Make the rename itself survive a crash.
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
         removed = 0
-        if not self.root.is_dir():
-            return 0
         for entry in self.root.glob("*/*.pkl"):
             entry.unlink(missing_ok=True)
             removed += 1

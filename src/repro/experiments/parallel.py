@@ -4,13 +4,15 @@ Every figure in the paper is an average over independent seeds, and
 every seed is an independent single-threaded simulation — an
 embarrassingly parallel workload.  :class:`ParallelRunner` takes a
 list of fully-seeded :class:`~repro.experiments.topology.ScenarioConfig`
-work units, consults an optional
-:class:`~repro.experiments.cache.ResultCache` and
-:class:`~repro.experiments.journal.CampaignJournal`, and runs only the
+work units, looks each one up in the attached stores — an optional
+:class:`~repro.experiments.cache.ResultCache`, then an optional
+:class:`~repro.experiments.journal.CampaignJournal`, which is the same
+store rooted at the ``--resume`` directory — and runs only the
 remaining misses, one unit at a time, through a single scheduling
-loop.  Where the outcomes come from is the only thing that varies: an
-in-process source runs each unit synchronously, a supervised pool of
-forked worker processes runs them concurrently.
+loop.  A hit is written back to every store that missed it.  Where
+the outcomes come from is the only thing that varies: an in-process
+source runs each unit synchronously, a supervised pool of forked
+worker processes runs them concurrently.
 
 The supervision layer is what makes long campaigns survivable:
 
@@ -32,8 +34,8 @@ The supervision layer is what makes long campaigns survivable:
   :class:`~repro.experiments.faults.UnitFailure` and the campaign
   continues (``fail_fast=False``) or aborts with a taxonomy exception
   (``fail_fast=True``, the library default).
-* **Durability** — every completed summary is written to the cache
-  and journal the moment it lands, and SIGINT/SIGTERM raise
+* **Durability** — every completed summary is written, fsynced, to
+  every attached store the moment it lands, and SIGINT/SIGTERM raise
   :class:`~repro.experiments.faults.CampaignInterrupted` after
   flushing, so an interrupted campaign resumes instead of restarting.
 
@@ -523,14 +525,7 @@ class ParallelRunner:
         self.fail_fast = fail_fast
         self.journal = journal
 
-    # -- key/bookkeeping helpers ------------------------------------------
-
-    def _key(self, config: ScenarioConfig) -> Optional[str]:
-        if self.cache is not None:
-            return self.cache.key(config)
-        if self.journal is not None:
-            return self.journal.key(config)
-        return None
+    # -- bookkeeping helpers ----------------------------------------------
 
     def _fail(self, task: _Task, kind: str, message: str) -> UnitFailure:
         return UnitFailure(
@@ -688,41 +683,40 @@ class ParallelRunner:
         n = len(configs)
         summaries: List[Optional[RunSummary]] = [None] * n
         keys: List[Optional[str]] = [None] * n
-        from_cache = from_journal = 0
-        # Accumulated wall-clock cost of write-back durability (mutable
-        # cell so the deliver closure can add to it).
+        # The attached stores in lookup order, each with its write call.
+        stores = []
+        if self.cache is not None:
+            stores.append(("cache", self.cache, self.cache.put))
+        if self.journal is not None:
+            stores.append(("journal", self.journal, self.journal.record))
+        hits = {"cache": 0, "journal": 0}
+        # Accumulated wall-clock cost of write-back durability.
         write_seconds = {"cache": 0.0, "journal": 0.0}
+
+        def write(targets, key: str, summary: RunSummary) -> None:
+            for name, _, put in targets:
+                t0 = time.perf_counter()
+                put(key, summary)
+                write_seconds[name] += time.perf_counter() - t0
+
         tasks: List[_Task] = []
         for i, config in enumerate(configs):
-            keys[i] = self._key(config)
-            if self.cache is not None:
-                summaries[i] = self.cache.get(keys[i])
+            # Every store keys a unit by the same digest.
+            keys[i] = stores[0][1].key(config) if stores else None
+            for depth, (name, store, _) in enumerate(stores):
+                summaries[i] = store.get(keys[i])
                 if summaries[i] is not None:
-                    from_cache += 1
-                    continue
-            if self.journal is not None:
-                summaries[i] = self.journal.get(keys[i])
-                if summaries[i] is not None:
-                    from_journal += 1
-                    # Promote journal hits into the cache: the journal
-                    # is per-campaign, the cache lives on.
-                    if self.cache is not None:
-                        t0 = time.perf_counter()
-                        self.cache.put(keys[i], summaries[i])
-                        write_seconds["cache"] += time.perf_counter() - t0
-                    continue
-            tasks.append(_Task(index=i, config=config, key=keys[i]))
+                    hits[name] += 1
+                    # Fill every store that missed: the journal is
+                    # per-campaign, the cache lives on.
+                    write(stores[:depth], keys[i], summaries[i])
+                    break
+            else:
+                tasks.append(_Task(index=i, config=config, key=keys[i]))
 
         def deliver(index: int, summary: RunSummary) -> None:
             summaries[index] = summary
-            if self.cache is not None and keys[index] is not None:
-                t0 = time.perf_counter()
-                self.cache.put(keys[index], summary)
-                write_seconds["cache"] += time.perf_counter() - t0
-            if self.journal is not None:
-                t0 = time.perf_counter()
-                self.journal.record(keys[index], summary)
-                write_seconds["journal"] += time.perf_counter() - t0
+            write(stores, keys[index], summary)
 
         def completed() -> int:
             return sum(1 for s in summaries if s is not None)
@@ -750,8 +744,8 @@ class ParallelRunner:
         report = CompletenessReport(
             total=n,
             completed=completed(),
-            from_cache=from_cache,
-            from_journal=from_journal,
+            from_cache=hits["cache"],
+            from_journal=hits["journal"],
             quarantined=tuple(
                 failures[i] for i in sorted(failures)
             ),

@@ -2,8 +2,9 @@
 
 A bundle is one JSON file capturing everything needed to re-run a
 failed scenario bit-identically: the full
-:class:`~repro.experiments.topology.ScenarioConfig` (reversibly
-encoded, seed included), the violations observed, the tail of the
+:class:`~repro.experiments.topology.ScenarioConfig` (in the reversible
+:func:`~repro.experiments.cache.encode_value` form the digest hashes,
+seed included), the violations observed, the tail of the
 event log leading up to the failure, and the
 :func:`~repro.experiments.cache.config_digest` / code-version token of
 the run that produced it — the same content-addressing machinery the
@@ -20,9 +21,6 @@ the original code token so the mismatch is visible).
 
 from __future__ import annotations
 
-import dataclasses
-import enum
-import importlib
 import json
 import os
 from dataclasses import dataclass
@@ -32,7 +30,9 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.experiments.cache import (
     code_version_token,
     config_digest,
+    decode_value,
     default_cache_dir,
+    encode_value,
 )
 from repro.validate.engine import InvariantViolationError, Violation
 
@@ -49,66 +49,6 @@ def default_bundle_dir() -> Path:
     if env:
         return Path(env)
     return default_cache_dir() / "bundles"
-
-
-# ---------------------------------------------------------------------------
-# Reversible config encoding
-# ---------------------------------------------------------------------------
-#
-# The cache's _canonical() form is digest-oriented (enums lose their
-# module, floats become repr strings) and cannot be decoded.  Bundles
-# need the round trip, so they use a tagged encoding: dataclasses,
-# enums and classes carry their import path.
-
-
-def _qualify(cls: type) -> str:
-    return f"{cls.__module__}:{cls.__qualname__}"
-
-
-def _resolve(path: str) -> Any:
-    module_name, _, qualname = path.partition(":")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def encode_value(value: Any) -> Any:
-    """Encode ``value`` to a JSON-serializable, decodable form."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__dataclass__": _qualify(type(value)),
-            "fields": {
-                f.name: encode_value(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
-        }
-    if isinstance(value, enum.Enum):
-        return {"__enum__": _qualify(type(value)), "name": value.name}
-    if isinstance(value, type):
-        return {"__class__": _qualify(value)}
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise TypeError(f"cannot encode {type(value).__qualname__} for a bundle")
-
-
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(value, dict):
-        if "__dataclass__" in value:
-            cls = _resolve(value["__dataclass__"])
-            fields = {k: decode_value(v) for k, v in value["fields"].items()}
-            return cls(**fields)
-        if "__enum__" in value:
-            return getattr(_resolve(value["__enum__"]), value["name"])
-        if "__class__" in value:
-            return _resolve(value["__class__"])
-        return {k: decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [decode_value(v) for v in value]
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,30 @@ class TestCorruptEntries:
         )
         assert cache.get(key) is None
 
+    def test_undecodable_string_reads_as_miss(self, cache, summary):
+        # A flipped byte inside a pickled string: UnicodeDecodeError.
+        key = cache.key(summary.config)
+        cache._path(key).parent.mkdir(parents=True, exist_ok=True)
+        cache._path(key).write_bytes(b"\x80\x04\x8c\x02\xff\xfe\x94.")
+        assert cache.get(key) is None
+        assert cache.misses == 1
+
+    def test_missing_module_reads_as_miss(self, cache, summary):
+        # An entry naming a module that no longer exists:
+        # ModuleNotFoundError on load.
+        key = cache.key(summary.config)
+        cache._path(key).parent.mkdir(parents=True, exist_ok=True)
+        payload = pickle.dumps(
+            {"format": CACHE_FORMAT, "code": code_version_token(), "summary": summary}
+        )
+        cache._path(key).write_bytes(
+            payload.replace(
+                b"repro.experiments.parallel", b"repro.experiments.gone_mod"
+            )
+        )
+        assert cache.get(key) is None
+        assert cache.misses == 1
+
     def test_overwrite_after_corruption_recovers(self, cache, summary):
         key = cache.key(summary.config)
         cache.put(key, summary)

@@ -431,7 +431,7 @@ class TestInterruptAndResume:
                 ),
             )
         assert result.partial
-        text = journal_path.read_text()
+        text = (journal_path / "failures.jsonl").read_text()
         assert '"kind": "failure"' in text
         # A failure record never satisfies a resume: the unit re-runs.
         monkeypatch.setattr(topology, "run_scenario", original)

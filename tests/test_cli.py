@@ -91,11 +91,32 @@ class TestSweep:
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "9 simulated" in first
-        assert journal.is_file()
+        assert journal.is_dir()
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert "0 simulated" in second
         assert "9 from journal" in second
+
+    def test_resume_onto_a_file_exits_two_before_any_unit(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        journal = tmp_path / "camp.journal"
+        journal.write_text('{"kind": "header", "format": 1, "code": "x"}\n')
+
+        def must_not_run(cfg, **kwargs):
+            raise AssertionError("a unit ran")
+
+        monkeypatch.setattr(topology, "run_scenario", must_not_run)
+        code = main(
+            ["sweep", "--transfer-kb", "10", "--replications", "1",
+             "--no-cache", "--resume", str(journal)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert str(journal) in captured.err
+        assert journal.is_file()
 
     def test_partial_campaign_reports_and_exits_one(
         self, capsys, monkeypatch, tmp_path

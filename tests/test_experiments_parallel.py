@@ -311,6 +311,7 @@ class TestConfigDigest:
             wan_scenario(transfer_bytes=TINY, bad_period_mean=2.0),
             wan_scenario(transfer_bytes=TINY, tcp_variant="reno"),
             lan_scenario(transfer_bytes=TINY),
+            {"probe": 1},
         ]
         digests = {config_digest(v, "tok") for v in variants}
         digests.add(config_digest(base, "tok"))

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-import json
+import os
 import pickle
+import time
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments import journal as journal_mod
-from repro.experiments.cache import ResultCache
+from repro.experiments import cache as cache_mod
+from repro.experiments import topology
+from repro.experiments.cache import CACHE_FORMAT, STALE_TMP_AGE, ResultCache
 from repro.experiments.config import wan_scenario
 from repro.experiments.faults import (
     FAULT_CRASH,
@@ -176,13 +179,40 @@ class TestCampaignJournal:
             wan_scenario(transfer_bytes=TINY, seed=seed, record_trace=False)
         )
 
-    def test_fresh_journal_writes_header(self, tmp_path):
+    def _plant(self, journal, key: str, entry) -> None:
+        """Write raw bytes (or a pickled dict) as the entry for ``key``."""
+        path = journal._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(entry if isinstance(entry, bytes) else pickle.dumps(entry))
+
+    def test_corrupt_entry_is_a_miss_and_its_unit_reruns(
+        self, tmp_path, monkeypatch
+    ):
         path = tmp_path / "camp.journal"
-        with CampaignJournal(path):
-            pass
-        first = json.loads(path.read_text().splitlines()[0])
-        assert first["kind"] == "header"
-        assert first["format"] == journal_mod.JOURNAL_FORMAT
+        config = wan_scenario(transfer_bytes=TINY, record_trace=False)
+        with CampaignJournal(path) as journal:
+            assert path.is_dir() and len(journal) == 0
+            run_replicated(
+                config, replications=2, runner=ParallelRunner(journal=journal)
+            )
+            corrupted = journal.key(replace(config, seed=2))
+            self._plant(journal, corrupted, b"\x80\x04\x8c\x02\xff\xfe\x94.")
+        calls = []
+        original = topology.run_scenario
+
+        def counting(cfg, **kwargs):
+            calls.append(cfg.seed)
+            return original(cfg, **kwargs)
+
+        monkeypatch.setattr(topology, "run_scenario", counting)
+        with CampaignJournal(path) as journal:
+            assert len(journal) == 1
+            assert journal.stale_entries == 0
+            result = run_replicated(
+                config, replications=2, runner=ParallelRunner(journal=journal)
+            )
+        assert calls == [2]
+        assert result.report.from_journal == 1
 
     def test_round_trip_across_reopen(self, tmp_path):
         path = tmp_path / "camp.journal"
@@ -202,15 +232,21 @@ class TestCampaignJournal:
         assert journal.key(config) == cache.key(config)
         journal.close()
 
-    def test_torn_final_line_is_tolerated(self, tmp_path):
+    def test_torn_tmp_file_is_swept_and_not_counted(self, tmp_path):
         path = tmp_path / "camp.journal"
         with CampaignJournal(path) as journal:
             journal.record("k1", self._summary())
-        with path.open("a") as fh:
-            fh.write('{"kind": "unit", "key": "k2", "summ')  # torn write
+        # A writer that died mid-record leaves its tmp file behind.
+        orphan = journal._path("k2").parent / "deadwriter.tmp"
+        orphan.parent.mkdir(parents=True, exist_ok=True)
+        orphan.write_bytes(b"half a pickle")
+        stamp = time.time() - 2 * STALE_TMP_AGE
+        os.utime(orphan, (stamp, stamp))
         resumed = CampaignJournal(path)
-        assert resumed.torn_lines == 1
+        assert not orphan.exists()
         assert len(resumed) == 1 and resumed.get("k1") is not None
+        assert resumed.get("k2") is None
+        assert resumed.stale_entries == 0
         resumed.close()
 
     def test_failure_records_are_not_completed_units(self, tmp_path):
@@ -227,7 +263,7 @@ class TestCampaignJournal:
         with CampaignJournal(path) as journal:
             journal.record("k1", self._summary())
         monkeypatch.setattr(
-            journal_mod, "code_version_token", lambda: "different-code"
+            cache_mod, "code_version_token", lambda: "different-code"
         )
         with caplog.at_level("WARNING", logger="repro.experiments.journal"):
             resumed = CampaignJournal(path)
@@ -239,10 +275,10 @@ class TestCampaignJournal:
         self, tmp_path, monkeypatch, caplog
     ):
         path = tmp_path / "camp.journal"
-        monkeypatch.setattr(journal_mod, "code_version_token", lambda: "code-a")
+        monkeypatch.setattr(cache_mod, "code_version_token", lambda: "code-a")
         with CampaignJournal(path) as journal:
             journal.record("k-old", self._summary())
-        monkeypatch.setattr(journal_mod, "code_version_token", lambda: "code-b")
+        monkeypatch.setattr(cache_mod, "code_version_token", lambda: "code-b")
         with CampaignJournal(path) as journal:
             journal.record("k-new", self._summary(seed=2))
         with caplog.at_level("WARNING", logger="repro.experiments.journal"):
@@ -254,28 +290,34 @@ class TestCampaignJournal:
         assert any("its 1 completed unit(s)" in m for m in warnings)
         resumed.close()
 
+    def _foreign_format_entry(self, journal) -> dict:
+        return {
+            "format": CACHE_FORMAT + 1,
+            "code": journal._code_token,
+            "summary": self._summary(),
+        }
+
     def test_units_appended_after_a_foreign_format_are_loaded(self, tmp_path):
         path = tmp_path / "camp.journal"
-        path.write_text(
-            json.dumps({"kind": "header", "format": 999, "code": "x"}) + "\n"
-            + json.dumps({"kind": "unit", "key": "k", "summary": "AA=="}) + "\n"
-        )
         with CampaignJournal(path) as journal:
+            self._plant(journal, "k", self._foreign_format_entry(journal))
             journal.record("k-new", self._summary())
         with CampaignJournal(path) as resumed:
             assert resumed.get("k-new") is not None
+            assert resumed.get("k") is None
             assert len(resumed) == 1
             assert resumed.stale_entries == 1
 
-    def test_unknown_format_ignores_entries(self, tmp_path, caplog):
+    def test_foreign_format_entry_is_stale_with_warning(self, tmp_path, caplog):
         path = tmp_path / "camp.journal"
-        path.write_text(
-            json.dumps({"kind": "header", "format": 999, "code": "x"}) + "\n"
-            + json.dumps({"kind": "unit", "key": "k", "summary": "AA=="}) + "\n"
-        )
+        with CampaignJournal(path) as journal:
+            self._plant(journal, "k", self._foreign_format_entry(journal))
         with caplog.at_level("WARNING", logger="repro.experiments.journal"):
             journal = CampaignJournal(path)
         assert len(journal) == 0
+        assert journal.stale_entries == 1
+        warnings = [r.getMessage() for r in caplog.records]
+        assert any("different code version or format" in m for m in warnings)
         journal.close()
 
 
