@@ -10,6 +10,7 @@ every figure and reports how long each takes.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -64,6 +65,21 @@ def report(out_dir):
         print(f"\n{'=' * 72}\n{text}\n[written to {path}]")
 
     return _report
+
+
+def update_bench_core(out_dir: Path, fields: dict) -> Path:
+    """Merge ``fields`` into ``BENCH_core.json``, keeping other gates' keys.
+
+    The events/sec trajectory and the validation-overhead gate both
+    report there, in either order.
+    """
+    path = out_dir / "BENCH_core.json"
+    try:
+        current = json.loads(path.read_text())
+    except (OSError, ValueError):
+        current = {}
+    path.write_text(json.dumps({**current, **fields}, indent=2) + "\n")
+    return path
 
 
 def run_once(benchmark, fn):

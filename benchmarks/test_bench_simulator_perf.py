@@ -24,6 +24,7 @@ import platform
 import time
 from pathlib import Path
 
+from conftest import update_bench_core
 from repro.engine import Simulator, Timer
 from repro.experiments.config import lan_scenario, wan_scenario
 from repro.experiments.topology import Scenario, Scheme, run_scenario
@@ -125,8 +126,7 @@ def test_perf_trajectory(out_dir):
             name: round(current[name] / pre_pr[name], 2) for name in current
         },
     }
-    out_path = out_dir / "BENCH_core.json"
-    out_path.write_text(json.dumps(trajectory, indent=2) + "\n")
+    out_path = update_bench_core(out_dir, trajectory)
     print(f"\n{json.dumps(trajectory, indent=2)}\n[written to {out_path}]")
 
     for name, value in current.items():

@@ -15,8 +15,8 @@ layer of the wireless hop:
   generators attach here.
 
 The ARQ transmitter keeps up to ``window`` frames unacknowledged (1 =
-stop-and-wait).  Each transmitted frame starts its own acknowledgement
-timer when it finishes leaving the radio; an unacknowledged frame is
+stop-and-wait).  Each transmitted frame schedules its own acknowledgement
+deadline when it finishes leaving the radio; an unacknowledged frame is
 retransmitted after a random backoff, with retransmissions taking
 priority over new frames, until ``rtmax`` total attempts.  Because
 failing frames keep occupying window slots, a deep fade stalls the
@@ -84,13 +84,14 @@ class _OutstandingFrame:
 
     frame: LinkFrame
     attempts: int = 0
-    ack_timer: Optional[Timer] = None
+    ack_event: Optional[Event] = None
     backoff_event: Optional[Event] = None
     awaiting_retry: bool = False
 
     def cancel_timers(self) -> None:
-        if self.ack_timer is not None:
-            self.ack_timer.cancel()
+        if self.ack_event is not None:
+            self.ack_event.cancel()
+            self.ack_event = None
         if self.backoff_event is not None:
             self.backoff_event.cancel()
             self.backoff_event = None
@@ -120,7 +121,6 @@ class WirelessPort:
     ) -> None:
         if mode is LinkLayerMode.ARQ and rng is None:
             raise ValueError("ARQ mode needs an rng for random backoff")
-        self._sim = sim
         self.name = name
         self.out_link = out_link
         self.deliver = deliver
@@ -215,7 +215,7 @@ class WirelessPort:
             entry = _OutstandingFrame.__new__(_OutstandingFrame)
             entry.frame = frame
             entry.attempts = 0
-            entry.ack_timer = None
+            entry.ack_event = None
             entry.backoff_event = None
             entry.awaiting_retry = False
             if in_order:
@@ -233,27 +233,22 @@ class WirelessPort:
         self._link_send(entry.frame, self._on_tx_complete)
 
     def _on_tx_complete(self, frame: LinkFrame) -> None:
-        entry = self._outstanding.get(frame.uid)
+        uid = frame.uid
+        entry = self._outstanding.get(uid)
         if entry is None or entry.awaiting_retry:
             return
-        timer = entry.ack_timer
-        if timer is None:
-            timer = entry.ack_timer = Timer(
-                self._sim,
-                lambda uid=frame.uid: self._on_ack_timeout(uid),
-                name=f"{self.name}.arq#{frame.uid}",
-            )
-        # Inlined timer.restart(self.arq_config.ack_timeout): one timer
-        # restart per transmitted frame.
-        event = timer._event
+        event = entry.ack_event
         if event is not None:
             event.cancel()
-        timer._event = self._schedule(self.arq_config.ack_timeout, timer._fire)
+        entry.ack_event = self._schedule(
+            self.arq_config.ack_timeout, self._on_ack_timeout, uid
+        )
 
     def _on_ack_timeout(self, uid: int) -> None:
         entry = self._outstanding.get(uid)
         if entry is None:
             return
+        entry.ack_event = None
         self.stats.ack_timeouts += 1
         if entry.frame.fragment is not None:
             self.feedback.on_attempt_failed(entry.frame.fragment, entry.attempts)
@@ -339,13 +334,11 @@ class WirelessPort:
                 return
             self.stats.link_acks_received += 1
             self.feedback.on_recovered()
-            # Inlined entry.cancel_timers() + Timer.cancel().
-            timer = entry.ack_timer
-            if timer is not None:
-                event = timer._event
-                if event is not None:
-                    event.cancel()
-                    timer._event = None
+            # Inlined entry.cancel_timers().
+            event = entry.ack_event
+            if event is not None:
+                event.cancel()
+                entry.ack_event = None
             backoff = entry.backoff_event
             if backoff is not None:
                 backoff.cancel()

@@ -20,9 +20,11 @@ two-state channel).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, NamedTuple, Optional, TextIO, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
 from repro.engine.observer import Observer
+from repro.net.packet import FrameKind, IcmpMessage, PacketType, TcpAck, TcpSegment
 
 
 class TraceParseError(ValueError):
@@ -47,8 +49,7 @@ class EventType(enum.Enum):
 
 
 class Event(NamedTuple):
-    """One trace record (a named tuple: a validated run builds one per
-    observed packet event, and a tuple is the cheapest record to build)."""
+    """One trace record, as the log's readers see it."""
 
     time: float
     event: EventType
@@ -59,10 +60,7 @@ class Event(NamedTuple):
 
     def to_line(self) -> str:
         """Serialize to the whitespace trace format."""
-        return (
-            f"{self.time:.6f} {self.event.value} {self.place} "
-            f"{self.kind} {self.size_bytes} {self.uid}"
-        )
+        return _line(self)
 
     @classmethod
     def from_line(cls, line: str) -> "Event":
@@ -102,16 +100,65 @@ class Event(NamedTuple):
         )
 
 
+#: A stored record: ``Event``'s fields, except that ``kind`` may still
+#: be what the observation point had at hand -- a ``FrameKind`` member
+#: or a datagram's payload class -- rather than its text.
+_Record = Tuple[float, EventType, str, object, int, int]
+
+#: Text of every non-string ``kind`` a record can hold: the frame kinds,
+#: and the payload classes behind ``Datagram.packet_type``.
+_KIND_TEXT: Dict[object, str] = {
+    **{kind: kind.value for kind in FrameKind},
+    TcpSegment: PacketType.DATA.value,
+    TcpAck: PacketType.ACK.value,
+    IcmpMessage: PacketType.ICMP.value,
+}
+
+# Module-level aliases: an enum member access is a class-attribute
+# lookup on every record; a plain global is cheaper.
+_WIRED_SEND = EventType.WIRED_SEND
+_WIRED_DROP = EventType.WIRED_DROP
+_WIRED_RECV = EventType.WIRED_RECV
+_AIR_SEND = EventType.AIR_SEND
+_AIR_RECV = EventType.AIR_RECV
+
+
+def _line(record: _Record) -> str:
+    time, event, place, kind, size_bytes, uid = record
+    return (
+        f"{time:.6f} {event.value} {place} "
+        f"{_KIND_TEXT.get(kind, kind)} {size_bytes} {uid}"
+    )
+
+
 class EventLog(Observer):
     """Collects events; writable to / readable from text.
 
     As an observer it records what the links and the channel report,
-    stamped with ``sim.now``.
+    stamped with the simulator's clock.  Recording is cheap: each
+    observation appends one plain tuple of what the observation point
+    already holds; :class:`Event` records and text lines are built only
+    when the log is read (:attr:`events`, :meth:`lines`, :meth:`write`).
+
+    ``maxlen`` bounds the log to its most recent records (a ring): the
+    validator keeps only the tail a replay bundle stores.  ``None``, the
+    default, keeps every record.
     """
 
-    def __init__(self, sim=None) -> None:
+    def __init__(self, sim=None, maxlen: Optional[int] = None) -> None:
         self.sim = sim
-        self.events: List[Event] = []
+        self._records: "List[_Record] | Deque[_Record]" = (
+            [] if maxlen is None else deque(maxlen=maxlen)
+        )
+        self._append = self._records.append
+
+    @property
+    def events(self) -> List[Event]:
+        """The kept records as :class:`Event` tuples, in recording order."""
+        return [
+            Event(time, event, place, _KIND_TEXT.get(kind, kind), size_bytes, uid)
+            for time, event, place, kind, size_bytes, uid in self._records
+        ]
 
     def record(
         self,
@@ -123,41 +170,45 @@ class EventLog(Observer):
         uid: int,
     ) -> None:
         """Append one event."""
-        self.events.append(Event(time, event, place, kind, size_bytes, uid))
+        self._append((time, event, place, kind, size_bytes, uid))
+
+    # The observation points below inline record(); ``sim._now`` is the
+    # field behind ``sim.now`` without the property call.
 
     def wired_send(self, link, datagram, accepted: bool) -> None:
         """Record a ``wired_send`` (or ``wired_drop``) line."""
-        event = EventType.WIRED_SEND if accepted else EventType.WIRED_DROP
-        self.record(self.sim.now, event, link.name, datagram.packet_type.value,
-                    datagram.size_bytes, datagram.uid)
+        self._append((self.sim._now, _WIRED_SEND if accepted else _WIRED_DROP,
+                      link.name, datagram.payload.__class__,
+                      datagram.size_bytes, datagram.uid))
 
     def wired_deliver(self, link, datagram) -> None:
         """Record a ``wired_recv`` line."""
-        self.record(self.sim.now, EventType.WIRED_RECV, link.name,
-                    datagram.packet_type.value, datagram.size_bytes, datagram.uid)
+        self._append((self.sim._now, _WIRED_RECV, link.name,
+                      datagram.payload.__class__, datagram.size_bytes,
+                      datagram.uid))
 
     def air_send(self, link, frame) -> None:
         """Record an ``air_send`` line."""
-        self.record(self.sim.now, EventType.AIR_SEND, link.name,
-                    frame.kind.value, frame.size_bytes, frame.uid)
+        self._append((self.sim._now, _AIR_SEND, link.name, frame.kind,
+                      frame.size_bytes, frame.uid))
 
     def air_deliver(self, link, frame) -> None:
         """Record an ``air_recv`` line."""
-        self.record(self.sim.now, EventType.AIR_RECV, link.name,
-                    frame.kind.value, frame.size_bytes, frame.uid)
+        self._append((self.sim._now, _AIR_RECV, link.name, frame.kind,
+                      frame.size_bytes, frame.uid))
 
     def channel_verdict(self, link, nbits: int, corrupted: bool) -> None:
         """Record a ``corrupt`` line for a corrupted frame."""
         if corrupted:
-            self.record(self.sim.now, EventType.CORRUPT, "channel", "frame",
-                        nbits // 8, link.channel.frames_tested)
+            self._append((self.sim._now, EventType.CORRUPT, "channel", "frame",
+                          nbits // 8, link.channel.frames_tested))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._records)
 
-    def lines(self) -> Iterable[str]:
+    def lines(self) -> Iterator[str]:
         """Serialized trace lines, in recording order."""
-        return (e.to_line() for e in self.events)
+        return map(_line, self._records)
 
     def write(self, fp: TextIO) -> int:
         """Write all lines to a file; returns the count."""
@@ -180,7 +231,7 @@ class EventLog(Observer):
             if not line:
                 continue
             try:
-                log.events.append(Event.from_line(line))
+                log._append(Event.from_line(line))
             except TraceParseError as err:
                 raise TraceParseError(f"line {lineno}: {err}") from None
         return log

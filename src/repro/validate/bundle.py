@@ -73,15 +73,16 @@ def write_bundle(config, violations: Sequence[Violation], log, bundle_dir=None) 
     """Persist one violation as a replay bundle; returns its path.
 
     ``log`` is the :class:`~repro.metrics.eventlog.EventLog` the
-    validated run recorded (may be ``None``); only the last
-    ``LOG_TAIL_LINES`` lines are kept.
+    validated run recorded (may be ``None``); only its last
+    ``LOG_TAIL_LINES`` lines are kept.  ``run_validated`` bounds its log
+    to that many records, so no others are formatted.
     """
     directory = Path(bundle_dir) if bundle_dir is not None else default_bundle_dir()
     directory.mkdir(parents=True, exist_ok=True)
     digest = config_digest(config)
     tail: List[str] = []
     if log is not None:
-        tail = [event.to_line() for event in log.events[-LOG_TAIL_LINES:]]
+        tail = list(log.lines())[-LOG_TAIL_LINES:]
     payload = {
         "format": BUNDLE_FORMAT,
         "kind": "repro-replay-bundle",

@@ -48,6 +48,18 @@ class TimerSanityChecker(InvariantChecker):
         """Check one dispatched event."""
         self.observations += 1
         time = event.time
+        # One combined guard on the per-event path; the reports (and
+        # which of the three failed) live in the cold helper.
+        if (
+            event.cancelled
+            or time < self._last_fired - _EPS
+            or abs(sim.now - time) > _EPS
+        ):
+            self._report_dispatch(sim.now, event)
+        self._last_fired = time
+
+    def _report_dispatch(self, now: float, event) -> None:
+        time = event.time
         if event.cancelled:
             self.report(f"cancelled event fired (t={time:.6f})")
         if time < self._last_fired - _EPS:
@@ -55,12 +67,11 @@ class TimerSanityChecker(InvariantChecker):
                 f"event fired out of order: t={time:.6f} after "
                 f"t={self._last_fired:.6f}"
             )
-        if abs(sim.now - time) > _EPS:
+        if abs(now - time) > _EPS:
             self.report(
-                f"clock desync: now={sim.now:.6f} but event scheduled "
+                f"clock desync: now={now:.6f} but event scheduled "
                 f"for t={time:.6f}"
             )
-        self._last_fired = time
 
 
 class TcpStateChecker(InvariantChecker):

@@ -196,7 +196,8 @@ def run_validated(scenario, bundle_dir=None, checkers=None, wall_timeout=None):
     """Run a built scenario under the invariant engine.
 
     On violation, writes a replay bundle (canonical config + seed +
-    event-log tail) and re-raises :class:`InvariantViolationError`
+    the last ``LOG_TAIL_LINES`` event-log lines, the only ones the run
+    keeps) and re-raises :class:`InvariantViolationError`
     with ``bundle_path`` set.  ``bundle_dir`` chooses where bundles
     land (``None`` = the default directory, ``False`` = don't write
     one — the replay path uses this to avoid bundling the bundle).
@@ -204,13 +205,14 @@ def run_validated(scenario, bundle_dir=None, checkers=None, wall_timeout=None):
     in the unvalidated path.
     """
     from repro.metrics.eventlog import EventLog
-    from repro.validate.bundle import write_bundle
+    from repro.validate.bundle import LOG_TAIL_LINES, write_bundle
     from repro.validate.checkers import default_checkers
 
     validator = Validator(
         checkers if checkers is not None else default_checkers(scenario)
     )
-    log = EventLog(scenario.sim)
+    # A bundle keeps only the log's tail, so the run keeps no more.
+    log = EventLog(scenario.sim, maxlen=LOG_TAIL_LINES)
     validator.attach(scenario, log)
     try:
         result = scenario.run(wall_timeout=wall_timeout)

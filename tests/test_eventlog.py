@@ -16,6 +16,7 @@ from repro.metrics.eventlog import (
     TraceParseError,
     attach_to_scenario,
 )
+from repro.validate.engine import Validator
 
 
 def instrumented_run(scheme=Scheme.BASIC, bad=1.0, seed=1, transfer=10 * 1024):
@@ -108,6 +109,40 @@ class TestInstrumentation:
         log, _ = instrumented_run()
         times = [e.time for e in log.events]
         assert times == sorted(times)
+
+
+class TestBoundedLog:
+    """``maxlen`` keeps a run's most recent records and nothing else."""
+
+    @staticmethod
+    def logged_run(maxlen):
+        """One run observed by a full log and a ``maxlen``-bounded one."""
+        scenario = Scenario(
+            wan_scenario(scheme=Scheme.EBSN, bad_period_mean=4.0, seed=2,
+                         transfer_bytes=10 * 1024)
+        )
+        full = EventLog(scenario.sim)
+        bounded = EventLog(scenario.sim, maxlen=maxlen)
+        Validator([]).attach(scenario, full, bounded)
+        scenario.run()
+        return full, bounded
+
+    def test_keeps_exactly_the_last_n_records(self):
+        full, bounded = self.logged_run(maxlen=50)
+        assert len(full) > 50
+        assert len(bounded) == 50
+        assert bounded.events == full.events[-50:]
+
+    def test_writes_the_same_bytes_as_the_full_log(self):
+        full, bounded = self.logged_run(maxlen=50)
+        written = io.StringIO()
+        assert bounded.write(written) == 50
+        expected = "".join(line + "\n" for line in list(full.lines())[-50:])
+        assert written.getvalue() == expected
+
+    def test_short_run_is_kept_whole(self):
+        full, bounded = self.logged_run(maxlen=10**6)
+        assert list(bounded.lines()) == list(full.lines())
 
 
 class TestAnalyzer:

@@ -8,20 +8,24 @@ the bundle alone.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments.config import wan_scenario
-from repro.experiments.topology import Scheme, run_scenario
+from repro.experiments.topology import Scenario, Scheme, run_scenario
+from repro.metrics.eventlog import attach_to_scenario
+from repro.net import packet
 from repro.validate.bundle import (
+    LOG_TAIL_LINES,
     decode_value,
     encode_value,
     load_bundle,
     replay_bundle,
 )
-from repro.validate.engine import InvariantViolationError
+from repro.validate.engine import InvariantViolationError, run_validated
 from repro.validate.testing import CwndMutatingEbsnSender
 
 TRANSFER = 12 * 1024
@@ -57,6 +61,36 @@ class TestBundleContents:
         # The event-log tail leading up to the violation came along.
         assert bundle.event_log_tail
         assert all(" " in line for line in bundle.event_log_tail)
+
+    def test_tail_is_the_full_log_cut_at_the_violation(
+        self, violating_config, tmp_path, monkeypatch
+    ):
+        """The validator keeps only the bundle's tail, and it is exact:
+        the last LOG_TAIL_LINES lines of a full event log of the same
+        run, up to and including the event that violated."""
+
+        def built():
+            # uids are process-wide labels; pin them so both runs log
+            # the same ones.
+            monkeypatch.setattr(packet, "_datagram_ids", itertools.count(1))
+            monkeypatch.setattr(packet, "_frame_ids", itertools.count(1))
+            return Scenario(violating_config)
+
+        validated = built()
+        with pytest.raises(InvariantViolationError) as excinfo:
+            run_validated(validated, bundle_dir=tmp_path)
+        tail = load_bundle(excinfo.value.bundle_path).event_log_tail
+        # The engine counts an event once its callback returns, so the
+        # violating one is the next after those counted.
+        dispatched = validated.sim.events_executed + 1
+
+        full = built()
+        log = attach_to_scenario(full)
+        full.sender.start()
+        full.sim.run(max_events=dispatched)
+        lines = list(log.lines())
+        assert len(lines) > LOG_TAIL_LINES  # the cut really drops records
+        assert list(tail) == lines[-LOG_TAIL_LINES:]
 
     def test_bundle_is_plain_json(self, bundle_path):
         payload = json.loads(open(bundle_path).read())
